@@ -5,7 +5,9 @@ Three checks hold :mod:`repro.sta.flow` to the event-driven truth:
 * ``differential-mcm`` — on dyadic-rational designs the Karp formula
   value, the Howard critical-cycle ratio, and the simulator's measured
   long-run rate are the same rational, so they must be the same float —
-  zero diff, at every tested topology, size, and capacity regime.  The
+  zero diff, at every tested topology, size, and capacity regime — and
+  the exact :func:`~repro.sta.flow.certify_mcm` certificate (the flow
+  report's default verify tier) must accept Howard's answer.  The
   transient side rides along: the closed-form
   :meth:`~repro.sta.flow.SteadyState.makespan_at` must be bit-equal to
   the iterated compiled recurrence at extrapolated horizons.
@@ -33,6 +35,7 @@ from repro.sim.dataflow import (
 )
 from repro.sta.flow import (
     analyze_flow,
+    certify_mcm,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -89,8 +92,9 @@ def _topologies(ctx: CheckContext) -> List[Tuple[str, CommGraph]]:
     "differential",
     "the static maximum cycle mean (Karp oracle and Howard kernel) equals "
     "the simulator's measured long-run cycle time bit-for-bit on dyadic "
-    "designs, and the closed-form steady-state makespan extrapolation "
-    "matches the iterated recurrence exactly",
+    "designs, the exact optimality certificate accepts Howard's answer, "
+    "and the closed-form steady-state makespan extrapolation matches the "
+    "iterated recurrence exactly",
 )
 def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
     from repro.sim.compiled import CompiledRecurrence
@@ -114,6 +118,11 @@ def check_differential_mcm(ctx: CheckContext) -> Dict[str, Any]:
                     f"{name}/cap={cap}: Howard and Karp disagree",
                     topology=name, capacity=cap,
                     howard=howard.cycle_time, karp=karp)
+            certified = certify_mcm(fg, howard)
+            require(certified is True,
+                    f"{name}/cap={cap}: the optimality certificate did "
+                    f"not accept Howard's answer on a dyadic design",
+                    topology=name, capacity=cap, certified=certified)
             steady = simulate_steady_state(comm, service, 0.5, cap)
             require(howard.cycle_time == steady.cycle_time,
                     f"{name}/cap={cap}: static MCM != simulated rate",

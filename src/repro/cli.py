@@ -430,6 +430,31 @@ def _eco_reports(design, script_path: str, args: argparse.Namespace):
     return reports
 
 
+def _check_design_args(args: argparse.Namespace) -> None:
+    """The sta/flow input boundary: a positive ``--size`` and finite
+    float options; raises ``ValueError`` (exit 2, one-line message)."""
+    import math
+
+    if args.size < 1:
+        raise ValueError(f"--size must be >= 1, got {args.size}")
+    for name in ("wire", "target", "period", "m", "eps", "delta"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, got {value}")
+
+
+def _write_flow_artifact(path: str, payload: list) -> None:
+    """Strict JSON (no NaN/inf) flow report array, serialized before the
+    file is opened so a rejected value leaves no partial artifact."""
+    import io
+    import json
+
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(buf.getvalue() + "\n")
+
+
 def cmd_sta(args: argparse.Namespace) -> int:
     """Static timing analysis + design rules; exit 0 only if every analyzed
     design is clean (no stale/race edge, no DRC failure)."""
@@ -447,6 +472,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    _check_design_args(args)
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     reports = []
     for i, workload in enumerate(workloads):
@@ -501,9 +527,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
                 else f"cycle time {mcm['cycle_time']:g}"
             )
             print(f"flow[{workload}]: {summary}")
-        with open(args.flow, "w", encoding="utf-8") as fh:
-            json.dump(flow_payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_flow_artifact(args.flow, flow_payload)
         print(
             f"wrote {args.flow} (schema-validated, "
             f"{len(flow_payload)} flow reports)"
@@ -546,12 +570,11 @@ def cmd_flow(args: argparse.Namespace) -> int:
     """Simulation-free self-timed flow analysis: MCM + critical cycle,
     deadlock verdict, simulator agreement, and optional buffer sizing.
     Exit 0 only if every design is live and every agreement is exact."""
-    import json
-
     from repro.sta import design_for_workload
     from repro.sta.design import WORKLOADS
     from repro.sta.flowreport import render_flow_report
 
+    _check_design_args(args)
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     payload = []
     for i, workload in enumerate(workloads):
@@ -565,9 +588,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         print(render_flow_report(report))
         payload.append(report)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_flow_artifact(args.json, payload)
         print(
             f"\nwrote {args.json} (schema-validated, "
             f"{len(payload)} flow reports)"

@@ -16,6 +16,7 @@ dependency.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
 _TYPE_CHECKS = {
@@ -551,7 +552,7 @@ FLOW_REPORT_SCHEMA: Dict[str, Any] = {
             ],
             "properties": {
                 "cycle_time": {"type": "number"},
-                "throughput": {"type": "number"},
+                "throughput": {"type": ["number", "null"]},
                 "weight": {"type": "number"},
                 "tokens": {"type": "integer"},
                 "iterations": {"type": "integer"},
@@ -573,10 +574,11 @@ FLOW_REPORT_SCHEMA: Dict[str, Any] = {
         "agreement": {
             "type": ["object", "null"],
             "required": [
-                "karp_cycle_time", "simulated_cycle_time", "max_abs_diff",
-                "exact",
+                "verify", "karp_cycle_time", "simulated_cycle_time",
+                "max_abs_diff", "exact",
             ],
             "properties": {
+                "verify": {"type": "string"},
                 "karp_cycle_time": {"type": ["number", "null"]},
                 "simulated_cycle_time": {"type": ["number", "null"]},
                 "max_abs_diff": {"type": "number"},
@@ -627,13 +629,32 @@ FLOW_REPORT_SCHEMA: Dict[str, Any] = {
 }
 
 
+def _non_finite(obj: Any, path: str) -> List[str]:
+    """Paths of the NaN/inf numbers inside ``obj`` (dicts and lists)."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [f"{path}: non-finite {obj}"]
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}", v) for k, v in obj.items()]
+    elif isinstance(obj, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+    else:
+        return []
+    return [e for sub, v in items for e in _non_finite(v, sub)]
+
+
 def validate_flow_report(obj: Any) -> List[str]:
     """Schema check plus the cross-field invariants of a flow report:
     a deadlocked design has no MCM/agreement/transient blocks (and vice
     versa), the deadlock cycle is non-empty exactly when dead, blame
-    shares lie in [0, 1], agreement ``exact`` means a zero diff, and a
-    sizing block (when present) meets its own target."""
+    shares lie in [0, 1], the mcm/agreement/transient numbers are finite,
+    the verify tier is ``cert`` (no Karp value) or ``karp`` (with one),
+    agreement ``exact`` means a zero diff, and a sizing block (when
+    present) meets its own target."""
     errors = validate(obj, FLOW_REPORT_SCHEMA)
+    if errors:
+        return errors
+    for block in ("mcm", "agreement", "transient"):
+        errors.extend(_non_finite(obj[block], f"$.{block}"))
     if errors:
         return errors
     dead = obj["deadlock"]["dead"]
@@ -664,6 +685,17 @@ def validate_flow_report(obj: Any) -> List[str]:
             errors.append(
                 f"$.agreement.exact: true with max_abs_diff "
                 f"{agreement['max_abs_diff']}"
+            )
+        verify = agreement["verify"]
+        karp = agreement["karp_cycle_time"]
+        if verify not in ("cert", "karp"):
+            errors.append(
+                f"$.agreement.verify: {verify!r} is not 'cert' or 'karp'"
+            )
+        elif (verify == "cert") != (karp is None):
+            errors.append(
+                f"$.agreement.karp_cycle_time: {karp!r} under "
+                f"verify={verify!r}"
             )
     sizing = obj["sizing"]
     if sizing is not None and sizing["cycle_time"] > sizing["target"]:

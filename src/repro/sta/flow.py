@@ -12,6 +12,9 @@ gives closed-form answers the event engine can only observe:
   theorem on the token-expanded graph, per SCC) and :func:`mcm_howard`
   (the fast kernel: vectorized policy iteration, with critical-cycle
   extraction feeding the :mod:`repro.obs.critpath` blame format).
+  :func:`certify_mcm` checks Howard's answer in O(E) exact integer
+  arithmetic from its final policy — the product path's verify tier,
+  with Karp kept for inputs the certificate cannot decide.
 * **Deadlock** is a token-free cycle: under a capacity assignment the
   capacity-1 channels carry zero tokens, so :func:`detect_deadlock`
   reduces to a cycle search in that COMM subgraph — provably the same
@@ -60,6 +63,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import (
     Any,
     Callable,
@@ -106,6 +110,7 @@ __all__ = [
     "SizingResult",
     "SteadyState",
     "analyze_flow",
+    "certify_mcm",
     "detect_deadlock",
     "flow_graph",
     "mcm_howard",
@@ -443,6 +448,17 @@ class _Normalized:
 
 
 def _normalize(fg: FlowGraph) -> _Normalized:
+    """:func:`_contract`, computed once per graph: Howard, the
+    certificate and a Karp fallback on one report share it (the graph's
+    arrays are never mutated after the build)."""
+    cached = fg.__dict__.get("_normalized")
+    if cached is None:
+        cached = _contract(fg)
+        object.__setattr__(fg, "_normalized", cached)
+    return cached
+
+
+def _contract(fg: FlowGraph) -> _Normalized:
     """Contract zero-token edges over their (acyclic) subgraph.
 
     Every positive-token edge ``u -> v`` spawns ``u -> v'`` for each
@@ -553,6 +569,11 @@ class FlowCycle:
     ``cycle_time`` is ``weight / tokens`` with ``weight`` accumulated in
     step order — the exact rational, correctly rounded, under dyadic
     delays.
+
+    ``policy`` (chosen predecessor per dense node, -1 for none) seeds a
+    warm start; ``in_edges`` is the same final policy as the chosen
+    in-edge id per node of the zero-token-contracted graph (-1 off its
+    cyclic core) — the input :func:`certify_mcm` re-checks.
     """
 
     cycle_time: float
@@ -562,6 +583,7 @@ class FlowCycle:
     path: CriticalPath
     iterations: int = 0
     policy: Optional[np.ndarray] = field(default=None, repr=False)
+    in_edges: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def throughput(self) -> float:
@@ -573,6 +595,7 @@ def _finish_cycle(
     chain_edges: List[FlowEdge],
     iterations: int = 0,
     policy: Optional[np.ndarray] = None,
+    in_edges: Optional[np.ndarray] = None,
 ) -> FlowCycle:
     """Flatten a contracted cycle into the canonical :class:`FlowCycle`:
     rotate to start at the smallest dense id (deterministic), build the
@@ -622,6 +645,7 @@ def _finish_cycle(
         path=path,
         iterations=iterations,
         policy=policy,
+        in_edges=in_edges,
     )
 
 
@@ -997,8 +1021,226 @@ def mcm_howard(
         )
     pred_choice = np.full(norm.n, -1, dtype=np.int64)
     pred_choice[core_nodes] = esrc_orig[policy]
+    in_edges = np.full(norm.n, -1, dtype=np.int64)
+    in_edges[core_nodes] = e_ids[policy]
     return _finish_cycle(
-        fg, chain, iterations=iterations, policy=pred_choice
+        fg,
+        chain,
+        iterations=iterations,
+        policy=pred_choice,
+        in_edges=in_edges,
+    )
+
+
+# ----------------------------------------------------------------------
+# the optimality certificate (the product path's verify tier)
+# ----------------------------------------------------------------------
+#: Ceiling on every intermediate the certificate forms in int64.
+_CERT_INT_LIMIT = 1 << 62
+
+
+def _dyadic_scale(weights: np.ndarray) -> Optional[int]:
+    """Smallest ``k`` with every weight a multiple of ``2**-k`` (every
+    finite float is one); ``None`` when a weight is not finite."""
+    if not np.isfinite(weights).all():
+        return None
+    k = 0
+    for w in np.unique(weights).tolist():
+        k = max(k, w.as_integer_ratio()[1].bit_length() - 1)
+    return k
+
+
+def _cycle_edge_ids(
+    fg: FlowGraph, edges: List[FlowEdge]
+) -> Optional[List[int]]:
+    """Index in ``fg`` of each of ``edges`` (matched on every field), or
+    ``None`` when one is not an edge of ``fg``."""
+    n = fg.n_cells
+    keys = (fg.esrc * n + fg.edst) * 3 + fg.ekind
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ids: List[int] = []
+    for e in edges:
+        code = _KIND_CODES.get(e.kind)
+        if code is None or not (0 <= e.src < n and 0 <= e.dst < n):
+            return None
+        key = (e.src * n + e.dst) * 3 + code
+        lo = int(np.searchsorted(sorted_keys, key, side="left"))
+        hi = int(np.searchsorted(sorted_keys, key, side="right"))
+        match = [int(i) for i in order[lo:hi] if fg.edge(int(i)) == e]
+        if not match:
+            return None
+        ids.append(match[0])
+    return ids
+
+
+def certify_mcm(fg: FlowGraph, cycle: FlowCycle) -> Optional[bool]:
+    """Check in exact integer arithmetic that ``cycle`` is critical: its
+    ``cycle_time`` is the maximum cycle mean of ``fg``, correctly rounded.
+
+    An O(E) optimality certificate built from Howard's final policy
+    (``cycle.in_edges``) — the product path's replacement for the
+    O(V * E) :func:`mcm_karp` cross-check.  Weights are scaled to
+    integers ``W = w * 2**k``.  On the cyclic core of the zero-token-
+    contracted graph, each node's chosen in-edge chain reaches one policy
+    cycle; the node takes that cycle's mean ``a/b`` (reduced, in scaled
+    units) as its class and a potential ``g`` (scaled by ``b``) summed
+    along the chain.  Then, on every core edge ``u -> v`` (weight ``W``,
+    ``t`` tokens):
+
+    1. ``a_u/b_u <= a_v/b_v``;
+    2. where the classes are equal (``a/b``), ``g_v >= g_u + b*W - a*t``;
+    3. the top class equals ``weight/tokens`` of ``cycle``, whose edges
+       form a closed walk of real ``fg`` edges, and ``cycle.weight``,
+       ``cycle.tokens`` and ``cycle.cycle_time`` report it exactly.
+
+    By (1) a graph cycle stays in one class, and summing (2) around it
+    bounds its mean by that class — so MCM <= top class; (3) exhibits a
+    cycle at the top class, so MCM >= top class.  This is a multichain
+    certificate: one potential for the whole graph does not exist when
+    strongly connected components have different cycle means.
+
+    Returns ``True`` when certified, ``False`` when a check fails (or
+    ``cycle`` carries no policy), and ``None`` when exact integer
+    arithmetic is out of reach: a non-finite weight, a scaled weight
+    times ``cells + 1`` at ``2**53`` or more (contracted weights might
+    round), or ``(2n + 1) * 2n * Tmax * Wmax`` (``n`` core nodes; it
+    bounds every potential, product and sum formed below) at ``2**62``
+    or more (int64 might overflow).  Callers fall back to
+    :func:`mcm_karp` on anything but ``True``.
+    """
+    in_edges = cycle.in_edges
+    if in_edges is None or len(in_edges) != fg.n_cells or not cycle.edges:
+        return False
+    k = _dyadic_scale(fg.eweight)
+    if k is None:
+        return None
+    # A contracted edge's weight sums at most n original weights along
+    # a zero-token path; below 2**53 scaled, every partial sum is an
+    # exact float, so the solvers' contracted weights are exact too.
+    scaled = np.ldexp(fg.eweight, k)
+    if float(np.abs(scaled).max(initial=0.0)) * (fg.n_cells + 1) >= 2.0**53:
+        return None
+    w_orig = scaled.astype(np.int64)
+    norm = _normalize(fg)
+    if not len(norm.src):
+        return False
+    w_all = np.ldexp(norm.weight, k).astype(np.int64)
+    t_all = norm.tokens
+    alive = _cyclic_core(norm.n, norm.src, norm.dst)
+    core = np.nonzero(alive)[0]
+    keep = alive[norm.src] & alive[norm.dst]
+    src = norm.src[keep]
+    dst = norm.dst[keep]
+    w = w_all[keep]
+    t = t_all[keep]
+    if not len(src):
+        return False
+    n_core = len(core)
+    bound = (2 * n_core + 1) * 2 * n_core * int(t.max())
+    if bound * max(int(np.abs(w).max()), 1) >= _CERT_INT_LIMIT:
+        return None
+    # The policy: one in-edge per core node, from a core node.
+    chosen = in_edges[core]
+    if ((chosen < 0) | (chosen >= len(norm.src))).any():
+        return False
+    if not (
+        np.array_equal(norm.dst[chosen], core)
+        and alive[norm.src[chosen]].all()
+    ):
+        return False
+    # Evaluate it exactly: walk each node's predecessor chain to its
+    # policy cycle (plain lists; O(V) Python).
+    n = norm.n
+    pred = [-1] * n
+    pw = [0] * n
+    pt = [0] * n
+    core_l = core.tolist()
+    for v, u, we, te in zip(
+        core_l,
+        norm.src[chosen].tolist(),
+        w_all[chosen].tolist(),
+        t_all[chosen].tolist(),
+    ):
+        pred[v] = u
+        pw[v] = we
+        pt[v] = te
+    num = [0] * n
+    den = [1] * n
+    g = [0] * n
+    state = [0] * n  # 1 = on the current walk, 2 = evaluated
+    top = (0, 0)
+    for v0 in core_l:
+        if state[v0]:
+            continue
+        walk: List[int] = []
+        v = v0
+        while state[v] == 0:
+            state[v] = 1
+            walk.append(v)
+            v = pred[v]
+        if state[v] == 1:
+            at = walk.index(v)
+            cyc = walk[at:]
+            a = sum(pw[u] for u in cyc)
+            b = sum(pt[u] for u in cyc)
+            r = math.gcd(a, b)
+            a //= r
+            b //= r
+            if top[1] == 0 or a * top[1] > top[0] * b:
+                top = (a, b)
+            num[v] = a
+            den[v] = b
+            g[v] = 0
+            for u in reversed(cyc[1:]):
+                p = pred[u]
+                num[u] = a
+                den[u] = b
+                g[u] = g[p] + b * pw[u] - a * pt[u]
+            tail = walk[:at]
+        else:
+            tail = walk
+        for u in reversed(tail):
+            p = pred[u]
+            a = num[u] = num[p]
+            b = den[u] = den[p]
+            g[u] = g[p] + b * pw[u] - a * pt[u]
+        for u in walk:
+            state[u] = 2
+    num_a = np.asarray(num, dtype=np.int64)
+    den_a = np.asarray(den, dtype=np.int64)
+    g_a = np.asarray(g, dtype=np.int64)
+    a_u, b_u = num_a[src], den_a[src]
+    a_v, b_v = num_a[dst], den_a[dst]
+    # Check 1: classes never decrease along an edge.
+    if (a_u * b_v > a_v * b_u).any():
+        return False
+    # Check 2: within a class the potentials are feasible.
+    same = (a_u == a_v) & (b_u == b_v)
+    slack = g_a[dst] - g_a[src] - (b_v * w - a_v * t)
+    if (slack[same] < 0).any():
+        return False
+    # Check 3: the reported cycle is a closed walk of fg edges whose
+    # exact mean is the top class.
+    edges = cycle.edges
+    closed = all(
+        edges[i].dst == edges[(i + 1) % len(edges)].src
+        for i in range(len(edges))
+    )
+    ids = _cycle_edge_ids(fg, edges) if closed else None
+    if ids is None:
+        return False
+    weight = sum(int(w_orig[i]) for i in ids)
+    tokens = sum(int(fg.etokens[i]) for i in ids)
+    if tokens <= 0:
+        return False
+    r = math.gcd(weight, tokens)
+    return (
+        (weight // r, tokens // r) == top
+        and cycle.tokens == tokens
+        and math.isfinite(cycle.weight)
+        and Fraction(cycle.weight) == Fraction(weight, 1 << k)
+        and cycle.cycle_time == weight / (tokens << k)
     )
 
 

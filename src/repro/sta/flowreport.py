@@ -1,18 +1,21 @@
 """The schema-pinned flow report: one JSON document per flow query.
 
 :func:`build_flow_report` runs the full static stack — deadlock verdict,
-Howard MCM with critical-cycle blame, the Karp oracle, optionally the
+Howard MCM with critical-cycle blame, its verify tier, optionally the
 dynamic steady-state cross-check and the buffer-sizing optimizer — and
 packs the result in the :data:`repro.obs.schema.FLOW_REPORT_SCHEMA`
 shape, self-validating before returning (an invalid report is a bug,
 never an artifact).  ``python -m repro flow`` / ``python -m repro sta
 --flow`` emit and render these.
 
-The ``agreement`` block is the report's teeth: on live designs it
-records the Howard-vs-Karp and static-vs-simulated cycle times and the
-worst absolute difference, with ``exact`` true only at a bitwise zero —
-the same contract the ``differential-mcm`` oracle enforces in
-:mod:`repro.check`.
+The ``agreement`` block is the report's teeth.  On live designs it
+records which tier verified Howard's cycle time (``verify``): ``"cert"``
+when the exact O(E) :func:`~repro.sta.flow.certify_mcm` certificate
+accepts it, otherwise ``"karp"`` with the O(V * E) Karp oracle's value
+in ``karp_cycle_time`` (``null`` under ``"cert"``).  It also records the
+simulated cycle time and the worst absolute difference, with ``exact``
+true only at a bitwise zero — the same contract the ``differential-mcm``
+oracle enforces in :mod:`repro.check`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.sta.flow import (
     _capacity_items,
     _service_vector,
     analyze_flow,
+    certify_mcm,
     mcm_karp,
     minimal_buffer_sizing,
     simulate_steady_state,
@@ -67,7 +71,8 @@ def _mcm_block(analysis: FlowAnalysis) -> Optional[Dict[str, Any]]:
     ]
     return {
         "cycle_time": cycle.cycle_time,
-        "throughput": cycle.throughput,
+        # Zero cycle time: unbounded throughput, which JSON cannot hold.
+        "throughput": cycle.throughput if cycle.cycle_time > 0 else None,
         "weight": cycle.weight,
         "tokens": int(cycle.tokens),
         "iterations": int(cycle.iterations),
@@ -104,10 +109,15 @@ def build_flow_report(
     transient: Optional[Dict[str, Any]] = None
     if not analysis.dead and analysis.cycle is not None:
         howard = analysis.cycle.cycle_time
-        karp = mcm_karp(analysis.graph)
         diffs: List[float] = []
-        if karp is not None:
-            diffs.append(abs(howard - karp))
+        karp: Optional[float] = None
+        if certify_mcm(analysis.graph, analysis.cycle):
+            verify = "cert"
+        else:
+            verify = "karp"
+            karp = mcm_karp(analysis.graph)
+            if karp is not None:
+                diffs.append(abs(howard - karp))
         simulated: Optional[float] = None
         if simulate:
             steady = simulate_steady_state(
@@ -144,6 +154,7 @@ def build_flow_report(
             }
         max_abs_diff = max(diffs, default=0.0)
         agreement = {
+            "verify": verify,
             "karp_cycle_time": karp,
             "simulated_cycle_time": simulated,
             "max_abs_diff": max_abs_diff,
@@ -211,9 +222,11 @@ def render_flow_report(report: Dict[str, Any]) -> str:
     if mcm is None:
         lines.append("  acyclic: no steady-state cycle")
         return "\n".join(lines)
+    throughput = mcm["throughput"]
+    tput_txt = "unbounded" if throughput is None else f"{throughput:g}"
     lines.append(
-        f"  cycle time {mcm['cycle_time']:g}  throughput "
-        f"{mcm['throughput']:g}  (weight {mcm['weight']:g} / tokens "
+        f"  cycle time {mcm['cycle_time']:g}  throughput {tput_txt}  "
+        f"(weight {mcm['weight']:g} / tokens "
         f"{mcm['tokens']}, {mcm['iterations']} Howard sweeps)"
     )
     lines.append("  critical cycle:")
@@ -226,8 +239,10 @@ def render_flow_report(report: Dict[str, Any]) -> str:
     if agreement is not None:
         sim = agreement["simulated_cycle_time"]
         sim_txt = f"{sim:g}" if sim is not None else "skipped"
+        karp = agreement["karp_cycle_time"]
+        karp_txt = "" if karp is None else f" karp={karp:g}"
         lines.append(
-            f"  agreement: karp={agreement['karp_cycle_time']:g} "
+            f"  agreement: verify={agreement['verify']}{karp_txt} "
             f"simulated={sim_txt} max_abs_diff="
             f"{agreement['max_abs_diff']:g} "
             f"{'EXACT' if agreement['exact'] else 'APPROX'}"

@@ -8,7 +8,10 @@ Three contracts over randomized designs and capacity assignments:
 * ``minimal_buffer_sizing`` is irreducible: decrementing any returned
   depth deadlocks the array or pushes the cycle time above the target;
 * ``detect_deadlock`` agrees with the simulator's eager
-  :class:`ChannelDeadlockError` on every sampled capacity map.
+  :class:`ChannelDeadlockError` on every sampled capacity map;
+* ``certify_mcm`` accepts Howard's answer on every live dyadic design
+  and capacity map (unbounded, multi-SCC ones included), and that answer
+  equals the Karp oracle's.
 """
 
 import random
@@ -23,6 +26,7 @@ from repro.sim.dataflow import (
 )
 from repro.sta.design import random_design
 from repro.sta.flow import (
+    certify_mcm,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -100,3 +104,23 @@ def test_deadlock_detector_matches_simulator(seed):
     assert raised == (cycle is not None)
     if cycle is not None:
         assert all(cap[(u, v)] == 1 for u, v in cycle)
+
+
+@given(seed=seeds, cap_kind=st.sampled_from(["none", "uniform", "map"]))
+@settings(max_examples=30, deadline=None)
+def test_certificate_accepts_howard_on_live_dyadic_designs(seed, cap_kind):
+    design = random_design(seed)
+    comm = design.array.comm
+    rng = random.Random(f"flow-cert-prop|{seed}")
+    cap = {
+        "none": None,
+        "uniform": rng.randint(1, 4),
+        "map": {e: rng.randint(1, 4) for e in comm.edges()},
+    }[cap_kind]
+    if detect_deadlock(comm, cap) is not None:
+        return
+    fg = flow_graph(comm, _dyadic_services(comm, seed), 0.5, cap)
+    cycle = mcm_howard(fg)
+    assert cycle is not None
+    assert certify_mcm(fg, cycle) is True
+    assert cycle.cycle_time == mcm_karp(fg)

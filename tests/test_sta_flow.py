@@ -9,7 +9,9 @@ handshake cross-check — the signal-level pipeline disciplines'
 measured ``steady_cycle_time`` against their marked-graph MCM models.
 """
 
+import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -21,12 +23,13 @@ from repro.sim.compiled import CompiledRecurrence
 from repro.sim.dataflow import per_cell_service
 from repro.sim.handshake import run_credit_pipeline, run_handshake_pipeline
 from repro.sta.analyzer import STAAnalyzer
-from repro.sta.design import design_for_workload
+from repro.sta.design import WORKLOADS, design_for_workload
 from repro.sta.eco import ECOSession
 from repro.sta.flow import (
     FlowEdge,
     FlowGraph,
     analyze_flow,
+    certify_mcm,
     detect_deadlock,
     flow_graph,
     mcm_howard,
@@ -147,6 +150,174 @@ class TestMCM:
         warm = mcm_howard(fg, warm_start=cold.policy)
         assert warm is not None
         assert warm.cycle_time == cold.cycle_time
+
+
+# ----------------------------------------------------------------------
+# the optimality certificate
+# ----------------------------------------------------------------------
+def _cli_services(comm, seed, workload):
+    """The flow CLI's timing model: dyadic eighth-step services."""
+    rng = random.Random(f"{seed}|flow|{workload}")
+    return {c: 1.0 + rng.randrange(8) / 8 for c in comm.nodes()}
+
+
+def _certified_cases():
+    """(fg, howard cycle) over every workload, unbounded (multi-SCC),
+    uniform, and random per-edge capacity maps; deadlocked maps skipped."""
+    cases = []
+    for workload in WORKLOADS:
+        for size in (3, 5):
+            comm = design_for_workload(workload, size=size, seed=1).array.comm
+            service = _cli_services(comm, size, workload)
+            rng = random.Random(f"cert|{workload}|{size}")
+            caps = [None, 1, 2, 3,
+                    {e: rng.randint(1, 4) for e in comm.edges()}]
+            for cap in caps:
+                if detect_deadlock(comm, cap) is not None:
+                    continue
+                fg = flow_graph(comm, service, 0.5, cap)
+                cycle = mcm_howard(fg)
+                assert cycle is not None
+                cases.append((fg, cycle))
+    return cases
+
+
+def _credit(src, dst, weight):
+    """A one-token edge of arbitrary weight (credit edges carry any)."""
+    return FlowEdge(src=src, dst=dst, weight=weight, tokens=1, kind="credit")
+
+
+class TestCertificate:
+    def test_accepts_howard_and_matches_karp(self):
+        cases = _certified_cases()
+        assert len(cases) >= 30
+        for fg, cycle in cases:
+            assert certify_mcm(fg, cycle) is True
+            assert cycle.cycle_time == mcm_karp(fg)
+
+    def test_rejects_lambda_lowered_by_one_grid_step(self):
+        step = 2.0 ** -3  # the services' 1/8 grid
+        for fg, cycle in _certified_cases()[::3]:
+            low = cycle.cycle_time - step
+            assert certify_mcm(
+                fg, dataclasses.replace(cycle, cycle_time=low)
+            ) is False
+            forged = dataclasses.replace(
+                cycle, cycle_time=low, weight=low * cycle.tokens
+            )
+            assert certify_mcm(fg, forged) is False
+
+    def test_rejects_a_policy_that_hides_the_critical_cycle(self):
+        # Self loops of mean 2 (cell 0) and 1 (cell 1), and a two-cell
+        # loop 0 -> 1 -> 0 of mean 4: the MCM.  A policy keeping both
+        # self loops makes cell 0's class 2 the top one and would pass
+        # the potential check; only "classes never decrease along an
+        # edge" (0 -> 1 goes from 2 down to 1) refutes it.
+        edges = [
+            _credit(0, 0, 2.0), _credit(1, 1, 1.0),
+            _credit(0, 1, 4.0), _credit(1, 0, 4.0),
+        ]
+        fg = FlowGraph.from_edges([0, 1], edges, np.zeros(2))
+        cycle = mcm_howard(fg)
+        assert cycle is not None and cycle.cycle_time == 4.0
+        assert certify_mcm(fg, cycle) is True
+        forged = dataclasses.replace(
+            cycle, cycle_time=2.0, weight=2.0, tokens=1,
+            edges=[fg.edge(0)], in_edges=np.array([0, 1]),
+        )
+        assert certify_mcm(fg, forged) is False
+
+    def test_rejects_a_real_but_non_critical_cycle(self):
+        # Unbounded pipeline: every self loop is a cycle, the slowest
+        # cell's is critical; claiming a faster one must fail.
+        service = {0: 1.0, 1: 1.875, 2: 1.25}
+        fg = flow_graph(_pipeline(3), service, 0.5)
+        cycle = mcm_howard(fg)
+        assert cycle is not None and cycle.cycle_time == 1.875
+        fast = fg.edge(0)  # cell 0's self loop, mean 1.0
+        forged = dataclasses.replace(
+            cycle, cycle_time=1.0, weight=1.0, tokens=1, edges=[fast]
+        )
+        assert certify_mcm(fg, forged) is False
+
+    def test_rejects_a_perturbed_potential(self):
+        # Cells 0 (self loop, mean 2: critical), 1 and 2.  With lambda 2
+        # the potentials are g0 = 0, g1 = g0 + 1 - 2 = -1 and g2 =
+        # max(g0 + 5 - 2, g1 + 1 - 2) = 3 through edge 0 -> 2.  Pointing
+        # cell 2's policy at 1 -> 2 instead lowers g2 to -2, which the
+        # edge 0 -> 2 (needs g2 >= 3) refutes.
+        edges = [
+            _credit(0, 0, 2.0), _credit(0, 1, 1.0), _credit(1, 1, 1.0),
+            _credit(0, 2, 5.0), _credit(1, 2, 1.0), _credit(2, 2, 1.0),
+        ]
+        fg = FlowGraph.from_edges([0, 1, 2], edges, np.zeros(3))
+        cycle = mcm_howard(fg)
+        assert cycle is not None and cycle.cycle_time == 2.0
+        assert certify_mcm(fg, cycle) is True
+        assert cycle.in_edges is not None
+        assert cycle.in_edges.tolist() == [0, 1, 3]
+        perturbed = cycle.in_edges.copy()
+        perturbed[2] = 4  # edge 1 -> 2
+        forged = dataclasses.replace(cycle, in_edges=perturbed)
+        assert certify_mcm(fg, forged) is False
+
+    def test_rejects_a_cycle_that_is_not_a_closed_walk(self):
+        for fg, cycle in _certified_cases():
+            if len(cycle.edges) < 2:
+                continue
+            # Drop a hop between two cells: the walk no longer closes.
+            hop = next(i for i, e in enumerate(cycle.edges) if e.src != e.dst)
+            gapped = cycle.edges[:hop] + cycle.edges[hop + 1:]
+            forged = dataclasses.replace(cycle, edges=gapped)
+            assert certify_mcm(fg, forged) is False
+            # Right hops but a made-up weight: not an edge of the graph.
+            head = dataclasses.replace(
+                cycle.edges[0], weight=cycle.edges[0].weight + 1.0
+            )
+            forged = dataclasses.replace(
+                cycle, edges=[head] + cycle.edges[1:]
+            )
+            assert certify_mcm(fg, forged) is False
+
+    def test_rejects_an_open_walk_at_the_right_mean(self):
+        # The same two-cell loop: one hop 0 -> 1 (weight 4, one token)
+        # has the critical mean but does not close.
+        edges = [
+            _credit(0, 0, 2.0), _credit(1, 1, 1.0),
+            _credit(0, 1, 4.0), _credit(1, 0, 4.0),
+        ]
+        fg = FlowGraph.from_edges([0, 1], edges, np.zeros(2))
+        cycle = mcm_howard(fg)
+        assert cycle is not None
+        forged = dataclasses.replace(
+            cycle, weight=4.0, tokens=1, edges=[fg.edge(2)]
+        )
+        assert certify_mcm(fg, forged) is False
+
+    def test_rejects_a_cycle_without_a_policy(self):
+        fg, cycle = _certified_cases()[0]
+        assert certify_mcm(fg, dataclasses.replace(cycle, in_edges=None)) \
+            is False
+
+    def test_non_dyadic_design_takes_the_karp_fallback(self):
+        comm = _ring(5)
+        fg = flow_graph(comm, 1.1, 0.3, 2)
+        cycle = mcm_howard(fg)
+        assert cycle is not None
+        assert certify_mcm(fg, cycle) is None
+        report = build_flow_report(comm, 1.1, 0.3, 2, simulate=False)
+        assert validate_flow_report(report) == []
+        assert report["agreement"]["verify"] == "karp"
+        assert report["agreement"]["karp_cycle_time"] == mcm_karp(fg)
+        assert "verify=karp" in render_flow_report(report)
+
+    def test_non_finite_weight_is_not_certifiable(self):
+        fg = flow_graph(_ring(3), 1.0, 0.5, 2)
+        cycle = mcm_howard(fg)
+        assert cycle is not None
+        bad = dataclasses.replace(fg, eweight=fg.eweight.copy())
+        bad.eweight[-1] = np.inf
+        assert certify_mcm(bad, cycle) is None
 
 
 # ----------------------------------------------------------------------
@@ -458,3 +629,106 @@ class TestFlowReport:
         assert code == 0
         reports = json.loads(out.read_text())
         assert all(validate_flow_report(r) == [] for r in reports)
+        assert all(r["agreement"]["verify"] == "cert" for r in reports)
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_cli_reports_are_certified_and_match_karp(
+        self, tmp_path, workload, size
+    ):
+        out = tmp_path / "flow.json"
+        code = cli_main(["flow", "--workload", workload, "--size",
+                         str(size), "--seed", "3", "--json", str(out)])
+        assert code == 0
+        (report,) = json.loads(out.read_text())
+        agreement = report["agreement"]
+        assert agreement["verify"] == "cert"
+        assert agreement["karp_cycle_time"] is None
+        assert agreement["exact"]
+        comm = design_for_workload(workload, size=size, seed=3).array.comm
+        service = _cli_services(comm, 3, workload)
+        karp = mcm_karp(flow_graph(comm, service, 0.5, 2))
+        assert report["mcm"]["cycle_time"] == karp
+
+    def test_certified_report_renders_its_tier(self):
+        report = build_flow_report(_ring(4), 1.25, 0.5, 2)
+        assert report["agreement"]["verify"] == "cert"
+        assert "verify=cert" in render_flow_report(report)
+
+    def test_zero_cycle_time_reports_null_throughput(self):
+        report = build_flow_report(_ring(3), 0.0, 0.0, 2)
+        assert report["mcm"]["cycle_time"] == 0.0
+        assert report["mcm"]["throughput"] is None
+        assert "throughput unbounded" in render_flow_report(report)
+        json.dumps(report, allow_nan=False)
+
+
+# ----------------------------------------------------------------------
+# the sta/flow CLI input boundary and strict artifacts
+# ----------------------------------------------------------------------
+class TestFlowInputBoundary:
+    def _rejects(self, argv, capsys, needle):
+        code = cli_main(argv)
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("error: ") and needle in err
+        assert "\n" not in err and "Traceback" not in err
+
+    def test_nan_wire_is_rejected(self, capsys):
+        self._rejects(["flow", "--workload", "fir", "--size", "4",
+                       "--wire", "nan"], capsys, "--wire")
+
+    def test_infinite_target_is_rejected(self, capsys):
+        self._rejects(["flow", "--workload", "fir", "--size", "4",
+                       "--target", "inf"], capsys, "--target")
+
+    def test_zero_size_is_rejected(self, capsys):
+        self._rejects(["flow", "--workload", "fir", "--size", "0"],
+                      capsys, "--size")
+
+    def test_negative_size_is_rejected_by_sta(self, capsys):
+        self._rejects(["sta", "--workload", "fir", "--size", "-3"],
+                      capsys, "--size")
+
+    def test_nan_period_is_rejected_by_sta(self, capsys):
+        self._rejects(["sta", "--workload", "fir", "--size", "4",
+                       "--period", "nan"], capsys, "--period")
+
+    def test_artifacts_are_strict_json(self, tmp_path):
+        out = tmp_path / "flow.json"
+        assert cli_main(["flow", "--workload", "sorter", "--size", "4",
+                         "--json", str(out)]) == 0
+        text = out.read_text()
+        json.loads(text, parse_constant=lambda c: pytest.fail(c))
+        assert text.endswith("\n")
+
+    def test_non_finite_artifact_is_refused_whole(self, tmp_path):
+        from repro.cli import _write_flow_artifact
+
+        out = tmp_path / "flow.json"
+        with pytest.raises(ValueError):
+            _write_flow_artifact(str(out), [{"wire_delay": float("nan")}])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block,key", [
+        ("mcm", "cycle_time"),
+        ("agreement", "max_abs_diff"),
+        ("transient", "c_hi"),
+    ])
+    def test_validator_rejects_non_finite_numbers(self, block, key):
+        report = build_flow_report(_ring(4), 1.25, 0.5, 2)
+        for bad in (float("nan"), float("inf")):
+            forged = json.loads(json.dumps(report))
+            forged[block][key] = bad
+            errors = validate_flow_report(forged)
+            assert any(f"$.{block}.{key}" in e for e in errors), errors
+
+    def test_validator_checks_the_verify_tier(self):
+        report = build_flow_report(_ring(4), 1.25, 0.5, 2)
+        forged = json.loads(json.dumps(report))
+        forged["agreement"]["verify"] = "trust-me"
+        assert validate_flow_report(forged)
+        forged["agreement"]["verify"] = "karp"  # karp tier without a value
+        assert validate_flow_report(forged)
+        del forged["agreement"]["verify"]
+        assert validate_flow_report(forged)
