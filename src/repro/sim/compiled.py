@@ -57,6 +57,7 @@ from repro.sim.clocked import (
     TimingViolation,
     _ExecutorFacade,
 )
+from repro.sim.dataflow import _capacity_items, _credit_order
 
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
@@ -859,70 +860,43 @@ class CompiledTimingKernel:
 # self-timed tandem recurrence
 # ----------------------------------------------------------------------
 class CompiledRecurrence:
-    """The tandem recurrence evaluated wavefront-by-wavefront with grouped
-    array maxima — unbounded, or bounded by a finite channel capacity.
+    """The COMM graph of the tandem recurrence, compiled once into index
+    arrays: edges grouped by receiver for the forward maxima
+    (``np.maximum.reduceat``), and each COMM edge's sender/consumer
+    indices in COMM edge order for the capacity back-edges.
 
-    Compiles the COMM graph once (edges grouped by receiver for
-    ``np.maximum.reduceat``, and by *sender* for the capacity back-edges);
-    each wave is then a handful of array ops.  ``max`` is associative and
-    the add order per element matches the scalar loop, so the makespan
-    equals :meth:`~repro.sim.dataflow.SelfTimedProgramSimulator.
-    recurrence_makespan_scalar` exactly, in both regimes.
-
-    With ``capacity=k`` the classic marked-graph formulation joins the
-    forward recurrence: ``start[c][w] >= start[succ][w-k+1]`` for every
-    successor once ``w >= k`` (the consumer must have drained generation
-    ``w-k`` before the producer may start wave ``w``).  For ``k >= 2``
-    that reads a start row from a sliding window of earlier waves; ``k=1``
-    couples starts *within* a wave, solved by max-relaxation to a
-    fixpoint (exact: the iteration only ever takes maxima of already-
-    present floats, so it converges to the same closure the scalar
-    reverse-topological sweep computes).
+    :meth:`stepper` evaluates it wave by wave; :meth:`makespan` is the
+    fixed-horizon form of the same stepper.  Both equal
+    :meth:`~repro.sim.dataflow.SelfTimedProgramSimulator.
+    recurrence_makespan_scalar` exactly in every capacity regime.
     """
 
     def __init__(self, comm: CommGraph) -> None:
         self.comm_version = comm.version
         self._cells = comm.nodes()
-        self._acyclic = comm.is_acyclic()
+        self._edges = comm.edges()
+        self._edge_index = comm.edge_index()
         index = {c: i for i, c in enumerate(self._cells)}
         src: List[int] = []
         group_starts: List[int] = []
         group_cells: List[int] = []
-        succ: List[int] = []
-        succ_group_starts: List[int] = []
-        succ_group_cells: List[int] = []
         for c in self._cells:
             preds = comm.predecessors(c)
             if preds:
                 group_starts.append(len(src))
                 group_cells.append(index[c])
                 src.extend(index[p] for p in preds)
-            successors = comm.successors(c)
-            if successors:
-                succ_group_starts.append(len(succ))
-                succ_group_cells.append(index[c])
-                succ.extend(index[s] for s in successors)
         self._src = np.asarray(src, dtype=np.int64)
         self._group_starts = np.asarray(group_starts, dtype=np.int64)
         self._group_cells = np.asarray(group_cells, dtype=np.int64)
-        self._succ = np.asarray(succ, dtype=np.int64)
-        self._succ_group_starts = np.asarray(succ_group_starts, dtype=np.int64)
-        self._succ_group_cells = np.asarray(succ_group_cells, dtype=np.int64)
-
-    def _service_matrix(
-        self, service: Any, n_waves: int
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """(constant column, full matrix) — one of the two is set."""
-        n = len(self._cells)
-        col = self._service_column(service)
-        if col is not None:
-            return col, None
-        svc = np.empty((n, n_waves), dtype=np.float64)
-        for i, c in enumerate(self._cells):
-            row = svc[i]
-            for k in range(n_waves):
-                row[k] = service(c, k)
-        return None, svc
+        # COMM edges come grouped by sender, so any subset keeps that
+        # grouping for the back-edge ``reduceat``.
+        self._sender = np.asarray(
+            [index[u] for u, _ in self._edges], dtype=np.int64
+        )
+        self._consumer = np.asarray(
+            [index[v] for _, v in self._edges], dtype=np.int64
+        )
 
     def _service_column(self, service: Any) -> Optional[np.ndarray]:
         """Wave-invariant per-cell service column, or ``None`` when the
@@ -939,79 +913,15 @@ class CompiledRecurrence:
             )
         return None
 
-    def _capacity_groups(
-        self, cap_map: Mapping[EdgeKey, int]
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per-depth sender-grouped back-edge arrays for a heterogeneous
-        capacity map: ``{depth: (succ, group_starts, group_cells)}`` in the
-        same ``reduceat`` layout as the uniform arrays.  Validates keys
-        (must be COMM edges) and values (ints ``>= 1``)."""
-        cells = self._cells
-        per_d: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
-        matched = 0
-        n_groups = len(self._succ_group_cells)
-        for g in range(n_groups):
-            lo = int(self._succ_group_starts[g])
-            hi = (
-                int(self._succ_group_starts[g + 1])
-                if g + 1 < n_groups
-                else len(self._succ)
-            )
-            sender_idx = int(self._succ_group_cells[g])
-            sender = cells[sender_idx]
-            for p in range(lo, hi):
-                consumer_idx = int(self._succ[p])
-                d_raw = cap_map.get((sender, cells[consumer_idx]))
-                if d_raw is None:
-                    continue
-                d = int(d_raw)
-                if d < 1:
-                    raise ValueError(
-                        f"per-edge channel capacity must be >= 1, got {d} "
-                        f"for edge ({sender!r}, {cells[consumer_idx]!r})"
-                    )
-                matched += 1
-                succ_l, starts_l, targets_l = per_d.setdefault(
-                    d, ([], [], [])
-                )
-                if not targets_l or targets_l[-1] != sender_idx:
-                    starts_l.append(len(succ_l))
-                    targets_l.append(sender_idx)
-                succ_l.append(consumer_idx)
-        if matched != len(cap_map):
-            edge_set = {
-                (cells[int(self._succ_group_cells[g])], cells[int(s)])
-                for g in range(n_groups)
-                for s in self._succ[
-                    int(self._succ_group_starts[g]) : (
-                        int(self._succ_group_starts[g + 1])
-                        if g + 1 < n_groups
-                        else len(self._succ)
-                    )
-                ]
-            }
-            unknown = [e for e in cap_map if e not in edge_set]
-            raise ValueError(f"capacity for unknown COMM edge {unknown[0]!r}")
-        return {
-            d: (
-                np.asarray(succ_l, dtype=np.int64),
-                np.asarray(starts_l, dtype=np.int64),
-                np.asarray(targets_l, dtype=np.int64),
-            )
-            for d, (succ_l, starts_l, targets_l) in per_d.items()
-        }
-
     def stepper(
         self,
         service: Any,
         wire_delay: float,
         capacity: Any = None,
     ) -> "RecurrenceStepper":
-        """A wave-at-a-time evaluator over this compiled structure — the
-        open-horizon form of :meth:`makespan` (same float operations per
-        wave), exposing the full finish vector after each wave.  Accepts
-        every capacity regime: ``None``, a uniform int, or a per-edge
-        ``{(src, dst): depth}`` map."""
+        """A wave-at-a-time evaluator over this compiled structure,
+        exposing the full finish vector after each wave.  ``capacity`` is
+        any :data:`~repro.sim.dataflow.CapacitySpec`."""
         return RecurrenceStepper(self, service, wire_delay, capacity=capacity)
 
     def makespan(
@@ -1021,110 +931,23 @@ class CompiledRecurrence:
         n_waves: int,
         capacity: Any = None,
     ) -> float:
-        cells = self._cells
-        if isinstance(capacity, Mapping):
-            # Heterogeneous depths take the stepper path (identical maxima
-            # per wave; the scalar oracle's per-edge branch is the
-            # reference both must equal).
-            if not cells:
-                return 0.0
-            return self.stepper(service, wire_delay, capacity=capacity).run(
-                n_waves
-            )
-        if capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            if capacity == 1 and not self._acyclic:
-                from repro.sim.dataflow import ChannelDeadlockError
-
-                raise ChannelDeadlockError(
-                    "channel_capacity=1 on a cyclic COMM graph is a "
-                    "zero-token marked-graph cycle (deadlock); use "
-                    "capacity >= 2"
-                )
-        if not cells:
-            return 0.0
-        const_col, svc = self._service_matrix(service, n_waves)
-        finish = np.zeros(len(cells), dtype=np.float64)
-        src, starts, targets = self._src, self._group_starts, self._group_cells
-        succ = self._succ
-        succ_starts = self._succ_group_starts
-        succ_targets = self._succ_group_cells
-        history: deque = deque()  # start rows, oldest first (k >= 2 only)
-        for k in range(n_waves):
-            if k > 0 and len(src):
-                arrivals = finish[src] + wire_delay
-                grouped = np.maximum.reduceat(arrivals, starts)
-                start = finish.copy()
-                start[targets] = np.maximum(start[targets], grouped)
-            else:
-                start = finish
-            if capacity is not None and k >= capacity and len(succ):
-                if start is finish:
-                    start = finish.copy()
-                if capacity == 1:
-                    # Same-wave coupling: relax start[c] >= start[succ]
-                    # until unchanged.  Each pass only takes maxima of
-                    # floats already in the vector, so the fixpoint is
-                    # float-exact against the reverse-topological sweep.
-                    while True:
-                        grouped = np.maximum.reduceat(start[succ], succ_starts)
-                        updated = np.maximum(start[succ_targets], grouped)
-                        if np.array_equal(updated, start[succ_targets]):
-                            break
-                        start[succ_targets] = updated
-                else:
-                    oldest = history[0]  # start row of wave k - capacity + 1
-                    grouped = np.maximum.reduceat(oldest[succ], succ_starts)
-                    start[succ_targets] = np.maximum(
-                        start[succ_targets], grouped
-                    )
-            if capacity is not None and capacity >= 2:
-                # ``start`` is never mutated after this wave (the next
-                # wave copies before writing), so the window can keep a
-                # reference instead of a copy.
-                history.append(start)
-                if len(history) > capacity - 1:
-                    history.popleft()
-            col = const_col if const_col is not None else svc[:, k]
-            finish = start + col
-        return float(finish.max())
-
-
-def _pairs_acyclic(n_cells: int, src: np.ndarray, dst: np.ndarray) -> bool:
-    """Kahn's check over an explicit edge list on dense int cells."""
-    indegree = np.zeros(n_cells, dtype=np.int64)
-    np.add.at(indegree, dst, 1)
-    succs: List[List[int]] = [[] for _ in range(n_cells)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        succs[u].append(v)
-    queue = [i for i in range(n_cells) if indegree[i] == 0]
-    seen = 0
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        seen += 1
-        for v in succs[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    return seen == n_cells
+        """Makespan after ``n_waves`` waves (``>= 1``)."""
+        return self.stepper(service, wire_delay, capacity=capacity).run(n_waves)
 
 
 class RecurrenceStepper:
     """Wave-at-a-time evaluation of the compiled tandem recurrence.
 
-    :meth:`CompiledRecurrence.makespan` runs a fixed horizon and returns
-    one float; analyses that *watch* the trajectory — steady-state
-    detection in :mod:`repro.sta.flow`, transient bound checks — need the
-    finish vector after every wave, over an open horizon.  Each
-    :meth:`step` performs the same grouped-maxima float operations as the
-    corresponding ``makespan`` wave, so ``max`` of the stepper's final
-    vector equals ``makespan`` bit for bit in every capacity regime
-    (``None`` / uniform int / per-edge map — the map regime is grouped by
-    distinct depth, each depth reading its own lagged start row).
+    Each bounded channel ``c -> s`` of depth ``d`` adds the marked-graph
+    credit term ``start[c][w] >= start[s][w-d+1]`` once ``w >= d``.
+    Channels are grouped by depth: a depth ``d >= 2`` group reads the
+    start row of wave ``w - d + 1`` from a sliding window; the depth-1
+    group couples starts *within* a wave and is relaxed to its fixpoint
+    last (exact: each pass only takes maxima of floats already in the
+    vector, so it reaches the closure the scalar consumers-first sweep
+    computes).  ``max`` is order-free and the single add per cell is the
+    scalar loop's, so every finish vector equals the scalar oracle's bit
+    for bit.
 
     The returned finish vectors are freshly allocated per wave and never
     mutated afterwards; callers may keep references.
@@ -1142,58 +965,27 @@ class RecurrenceStepper:
         self._c = compiled
         self._service = service
         self._wire_delay = wire_delay
-        n = len(compiled._cells)
-        # Capacity regime -> per-depth grouped back-edge arrays.  A
-        # uniform int reuses the full sender-grouped arrays; a map gets
-        # per-depth subsets in the same layout.
-        cap1: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        deep: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        if isinstance(capacity, Mapping):
-            groups = compiled._capacity_groups(capacity)
-            for d in sorted(groups):
-                succ_d, starts_d, targets_d = groups[d]
-                if d == 1:
-                    counts = np.diff(np.append(starts_d, len(succ_d)))
-                    src_1 = np.repeat(targets_d, counts)
-                    if not _pairs_acyclic(n, src_1, succ_d):
-                        from repro.sim.dataflow import ChannelDeadlockError
-
-                        raise ChannelDeadlockError(
-                            "capacity-1 channels form a directed COMM "
-                            "cycle: a zero-token marked-graph cycle "
-                            "(deadlock); raise some capacity on the "
-                            "cycle to >= 2"
-                        )
-                    cap1 = (succ_d, starts_d, targets_d)
-                else:
-                    deep.append((d, succ_d, starts_d, targets_d))
-        elif capacity is not None:
-            capacity = int(capacity)
-            if capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            full = (
-                compiled._succ,
-                compiled._succ_group_starts,
-                compiled._succ_group_cells,
+        items = _capacity_items(compiled._edges, capacity)
+        _credit_order(compiled._cells, items)  # eager deadlock check
+        depth = np.zeros(len(compiled._edges), dtype=np.int64)  # 0: unbounded
+        depth[[compiled._edge_index[e] for e, _ in items]] = [
+            d for _, d in items
+        ]
+        # Per-depth sender-grouped back-edge arrays, deepest first so the
+        # same-wave depth-1 relaxation sees every other term.
+        self._channels: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for d in sorted(set(depth[depth > 0].tolist()), reverse=True):
+            on = depth == d
+            sender = compiled._sender[on]
+            first = np.flatnonzero(np.r_[True, sender[1:] != sender[:-1]])
+            self._channels.append(
+                (d, compiled._consumer[on], first, sender[first])
             )
-            if capacity == 1:
-                if not compiled._acyclic:
-                    from repro.sim.dataflow import ChannelDeadlockError
-
-                    raise ChannelDeadlockError(
-                        "channel_capacity=1 on a cyclic COMM graph is a "
-                        "zero-token marked-graph cycle (deadlock); use "
-                        "capacity >= 2"
-                    )
-                cap1 = full
-            elif len(compiled._succ):
-                deep.append((capacity, *full))
-        self._cap1 = cap1
-        self._deep = deep
-        self._window_len = max((d - 1 for d, *_ in deep), default=0)
-        self._window: deque = deque(maxlen=self._window_len or None)
+        self._window: deque = deque(
+            maxlen=max((d for d, *_ in self._channels), default=1) - 1
+        )
         self._col = compiled._service_column(service)
-        self._finish = np.zeros(n, dtype=np.float64)
+        self._finish = np.zeros(len(compiled._cells), dtype=np.float64)
         self._k = 0
 
     @property
@@ -1212,36 +1004,28 @@ class RecurrenceStepper:
         c = self._c
         k = self._k
         finish = self._finish
+        start = finish.copy()
         if k > 0 and len(c._src):
             arrivals = finish[c._src] + self._wire_delay
             grouped = np.maximum.reduceat(arrivals, c._group_starts)
-            start = finish.copy()
             start[c._group_cells] = np.maximum(
                 start[c._group_cells], grouped
             )
-        else:
-            start = finish
-        for d, succ_d, starts_d, targets_d in self._deep:
-            if k >= d:
-                if start is finish:
-                    start = finish.copy()
+        for d, succ, starts, targets in self._channels:
+            if k < d:
+                continue
+            if d > 1:
                 row = self._window[-(d - 1)]  # start row of wave k - d + 1
-                grouped = np.maximum.reduceat(row[succ_d], starts_d)
-                start[targets_d] = np.maximum(start[targets_d], grouped)
-        if self._cap1 is not None and k >= 1:
-            succ1, starts1, targets1 = self._cap1
-            if start is finish:
-                start = finish.copy()
-            # Same-wave coupling: relax to the exact fixpoint, as in
-            # CompiledRecurrence.makespan.
+                grouped = np.maximum.reduceat(row[succ], starts)
+                start[targets] = np.maximum(start[targets], grouped)
+                continue
             while True:
-                grouped = np.maximum.reduceat(start[succ1], starts1)
-                updated = np.maximum(start[targets1], grouped)
-                if np.array_equal(updated, start[targets1]):
+                grouped = np.maximum.reduceat(start[succ], starts)
+                updated = np.maximum(start[targets], grouped)
+                if np.array_equal(updated, start[targets]):
                     break
-                start[targets1] = updated
-        if self._window_len:
-            self._window.append(start)
+                start[targets] = updated
+        self._window.append(start)
         if self._col is not None:
             col = self._col
         else:
@@ -1254,8 +1038,7 @@ class RecurrenceStepper:
         return self._finish
 
     def run(self, n_waves: int) -> float:
-        """Makespan after ``n_waves`` further waves (the scalar the fixed-
-        horizon kernel reports)."""
+        """Makespan after ``n_waves`` further waves (``>= 1``)."""
         if n_waves < 1:
             raise ValueError("need at least one wave")
         for _ in range(n_waves):

@@ -49,16 +49,20 @@ computed directly (compiled and scalar) in both regimes.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -79,6 +83,8 @@ ServiceTime = Callable[[CellId, int], float]
 
 #: Flow-control spec: ``None`` (unbounded), a uniform int depth, or a
 #: per-edge ``{(src, dst): depth}`` map (absent edges are unbounded).
+#: Only :func:`_capacity_items` reads it; everything else works on the
+#: normalized ``(edge, depth)`` list.
 CapacitySpec = Optional[Union[int, Mapping[EdgeKey, int]]]
 
 
@@ -152,40 +158,66 @@ def hashed_service(
     return sample
 
 
+def _channel_depth(depth: Any, edge: Optional[EdgeKey] = None) -> int:
+    """One validated channel depth: an integer ``>= 1`` (numpy ints
+    pass; ``bool``, floats and non-finite values are rejected rather
+    than truncated)."""
+    where = f" for edge {edge!r}" if edge is not None else ""
+    if isinstance(depth, bool) or not isinstance(depth, numbers.Integral):
+        raise ValueError(
+            f"channel capacity must be an integer, got {depth!r}{where}"
+        )
+    if depth < 1:
+        raise ValueError(f"channel capacity must be >= 1, got {depth}{where}")
+    return int(depth)
+
+
+def _capacity_items(
+    edges: Sequence[EdgeKey], capacity: CapacitySpec
+) -> List[Tuple[EdgeKey, int]]:
+    """The bounded channels of a :data:`CapacitySpec` as validated
+    ``(edge, depth)`` pairs in ``edges`` (COMM) order — the one reader of
+    the spec union, shared by the event engine, the compiled stepper,
+    the scalar recurrence and the static flow analyzer.  Edges absent
+    from a map are unbounded; a map key that is not in ``edges`` raises
+    ``ValueError``."""
+    if capacity is None:
+        return []
+    if isinstance(capacity, Mapping):
+        items = [
+            (edge, _channel_depth(capacity[edge], edge))
+            for edge in edges
+            if edge in capacity
+        ]
+        if len(items) != len(capacity):
+            known = set(edges)
+            unknown = next(e for e in capacity if e not in known)
+            raise ValueError(f"capacity for unknown COMM edge {unknown!r}")
+        return items
+    depth = _channel_depth(capacity)
+    return [(edge, depth) for edge in edges]
+
+
 def _reverse_topological(
-    comm: Any, edges: Optional[List[Tuple[CellId, CellId]]] = None
+    cells: Sequence[CellId], edges: Sequence[EdgeKey]
 ) -> List[CellId]:
-    """Cells in reverse topological order (consumers before producers) —
-    the evaluation order the same-wave capacity-1 credit term needs.
-    With ``edges`` the order is taken over that COMM-edge *subset* (the
-    capacity-1 channels of a per-edge assignment); ``None`` means every
-    edge.  Raises :class:`ChannelDeadlockError` when the (sub)graph is
-    cyclic — a zero-token marked-graph cycle."""
-    cells = comm.nodes()
-    if edges is None:
-        indegree: Dict[CellId, int] = {
-            c: len(comm.predecessors(c)) for c in cells
-        }
-        succs: Dict[CellId, List[CellId]] = {
-            c: list(comm.successors(c)) for c in cells
-        }
-    else:
-        indegree = {c: 0 for c in cells}
-        succs = {c: [] for c in cells}
-        for u, v in edges:
-            indegree[v] += 1
-            succs[u].append(v)
-    queue: List[CellId] = [c for c in cells if indegree[c] == 0]
-    order: List[CellId] = []
+    """``cells`` ordered consumers before producers along ``edges`` (Kahn,
+    reversed).  Raises :class:`ChannelDeadlockError` when ``edges`` hold
+    a directed cycle: over capacity-1 channels (or any zero-token
+    dependences) that is a zero-token marked-graph cycle."""
+    indegree: Dict[CellId, int] = {c: 0 for c in cells}
+    succs: Dict[CellId, List[CellId]] = {c: [] for c in cells}
+    for u, v in edges:
+        indegree[v] += 1
+        succs[u].append(v)
+    order: List[CellId] = [c for c in cells if indegree[c] == 0]
     i = 0
-    while i < len(queue):
-        c = queue[i]
-        i += 1
-        order.append(c)
-        for s in succs[c]:
+    while i < len(order):
+        for s in succs[order[i]]:
             indegree[s] -= 1
             if indegree[s] == 0:
-                queue.append(s)
+                order.append(s)
+        i += 1
     if len(order) != len(cells):
         raise ChannelDeadlockError(
             "capacity-1 channels form a directed COMM cycle: a zero-token "
@@ -194,6 +226,66 @@ def _reverse_topological(
         )
     order.reverse()
     return order
+
+
+def _credit_order(
+    cells: Sequence[CellId], items: Sequence[Tuple[EdgeKey, int]]
+) -> List[CellId]:
+    """Consumers before producers along the depth-1 channels of
+    ``items`` — the order the same-wave credit term is evaluated in, and
+    the eager liveness check every evaluator runs before its first
+    wave."""
+    cap1 = [e for e, d in items if d == 1]
+    return _reverse_topological(cells, cap1) if cap1 else list(cells)
+
+
+def _scalar_waves(
+    comm: Any, service: ServiceTime, wire_delay: float, capacity: CapacitySpec
+) -> Iterator[Dict[CellId, float]]:
+    """The tandem recurrence by per-cell Python loop, one wave at a time:
+    yields every wave's finish times, forever.
+
+    ``start[c][k] = max(finish[c][k-1], max_pred finish[p][k-1] + wire,
+    start[s][k-d+1] for each channel c -> s of depth d <= k)`` and
+    ``finish[c][k] = start[c][k] + service(c, k)``.  Depth-1 channels
+    couple starts within a wave, so cells run consumers first; deeper
+    channels read lagged start rows from a window of the last ``d - 1``
+    waves.  Unbounded channels contribute no credit term at all.  This
+    is the scalar oracle of the compiled stepper and shares no wave logic
+    with it or with the event engine.
+    """
+    cells = comm.nodes()
+    items = _capacity_items(comm.edges(), capacity)
+    credits: Dict[CellId, List[Tuple[CellId, int]]] = {c: [] for c in cells}
+    for (c, s), d in items:
+        credits[c].append((s, d))
+    plan = [
+        (c, tuple(comm.predecessors(c)), tuple(credits[c]))
+        for c in _credit_order(cells, items)
+    ]
+    window: deque = deque(maxlen=max((d for _, d in items), default=1) - 1)
+    finish: Dict[CellId, float] = {c: 0.0 for c in cells}
+    k = 0
+    while True:
+        starts: Dict[CellId, float] = {}
+        for c, preds, out in plan:
+            start = finish[c]
+            if k > 0:
+                for p in preds:
+                    arrival = finish[p] + wire_delay
+                    if arrival > start:
+                        start = arrival
+            for s, d in out:
+                if k >= d:
+                    # window[-1] is wave k-1, so wave k-d+1 sits at -(d-1).
+                    bound = starts[s] if d == 1 else window[-(d - 1)][s]
+                    if bound > start:
+                        start = bound
+            starts[c] = start
+        window.append(starts)
+        finish = {c: starts[c] + service(c, k) for c in cells}
+        yield finish
+        k += 1
 
 
 @dataclass
@@ -278,46 +370,14 @@ class SelfTimedProgramSimulator:
         self._wire_delay = wire_delay
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
-        self._capacity_map: Optional[Dict[EdgeKey, int]] = None
-        if isinstance(channel_capacity, Mapping):
-            edge_set = set(self._comm.edges())
-            cap_map: Dict[EdgeKey, int] = {}
-            for edge, cap in channel_capacity.items():
-                if edge not in edge_set:
-                    raise ValueError(
-                        f"capacity for unknown COMM edge {edge!r}"
-                    )
-                cap = int(cap)
-                if cap < 1:
-                    raise ValueError(
-                        f"per-edge channel capacity must be >= 1, got "
-                        f"{cap} for edge {edge!r}"
-                    )
-                cap_map[edge] = cap
-            cap1 = [e for e, cap in cap_map.items() if cap == 1]
-            if cap1:
-                # Eager deadlock detection, same contract as the uniform
-                # case: a cyclic capacity-1 subgraph can never fire.
-                _reverse_topological(self._comm, cap1)
-            self._capacity_map = cap_map
-            channel_capacity = None
-        elif channel_capacity is not None:
-            channel_capacity = int(channel_capacity)
-            if channel_capacity < 1:
-                raise ValueError("channel capacity must be >= 1 (or None)")
-            if channel_capacity == 1 and not self._comm.is_acyclic():
-                raise ChannelDeadlockError(
-                    "channel_capacity=1 on a cyclic COMM graph is a "
-                    "zero-token marked-graph cycle (deadlock); use "
-                    "capacity >= 2"
-                )
-        self._channel_capacity: Optional[int] = channel_capacity
+        items = _capacity_items(self._comm.edges(), channel_capacity)
+        _credit_order(self._comm.nodes(), items)  # eager deadlock check
+        self._channel_capacity = channel_capacity
+        self._capacity_map: Dict[EdgeKey, int] = dict(items)
         self._compiled: Any = None  # lazy CompiledRecurrence
 
     @property
     def channel_capacity(self) -> CapacitySpec:
-        if self._capacity_map is not None:
-            return dict(self._capacity_map)
         return self._channel_capacity
 
     def run(self, waves: Optional[int] = None) -> DataflowRunResult:
@@ -349,9 +409,8 @@ class SelfTimedProgramSimulator:
         # Backpressure state — only materialized for finite capacities so
         # the unbounded path stays byte-identical (same events, same order,
         # same floats) to the historical simulator.
-        capacity = self._channel_capacity
         cap_map = self._capacity_map
-        bounded = capacity is not None or cap_map is not None
+        bounded = self._channel_capacity is not None
         succs: Dict[CellId, Tuple[CellId, ...]] = {}
         outstanding: Dict[Tuple[CellId, CellId], int] = {}
         stall_time: Optional[Dict[CellId, float]] = None
@@ -381,24 +440,16 @@ class SelfTimedProgramSimulator:
             # Capacity k: wave w needs each successor to have consumed
             # generation w-k, i.e. to have *fired* wave w-k+1 already
             # (``next_wave`` counts fires, so the threshold is w-k+2).
+            # Each outgoing edge applies its own depth; edges absent from
+            # the map are unbounded.
             k = next_wave[cell]
-            if cap_map is not None:
-                # Heterogeneous depths: each outgoing edge applies its own
-                # threshold; edges absent from the map are unbounded.
-                for s in succs[cell]:
-                    cap_e = cap_map.get((cell, s))
-                    if (
-                        cap_e is not None
-                        and k >= cap_e
-                        and next_wave[s] < k - cap_e + 2
-                    ):
-                        return False
-                return True
-            if k < capacity:
-                return True
-            floor = k - capacity + 2
             for s in succs[cell]:
-                if next_wave[s] < floor:
+                cap_e = cap_map.get((cell, s))
+                if (
+                    cap_e is not None
+                    and k >= cap_e
+                    and next_wave[s] < k - cap_e + 2
+                ):
                     return False
             return True
 
@@ -483,11 +534,7 @@ class SelfTimedProgramSimulator:
                     if bounded:
                         count = outstanding[(cell, dst)] + 1
                         outstanding[(cell, dst)] = count
-                        limit = (
-                            capacity
-                            if cap_map is None
-                            else cap_map.get((cell, dst))
-                        )
+                        limit = cap_map.get((cell, dst))
                         if limit is not None and count > limit:
                             raise AssertionError(
                                 f"channel ({cell!r} -> {dst!r}) exceeded "
@@ -569,16 +616,11 @@ class SelfTimedProgramSimulator:
         is the reference it must equal exactly.
         """
         n_waves = waves if waves is not None else self._program.cycles
-        capacity: CapacitySpec = (
-            self._capacity_map
-            if self._capacity_map is not None
-            else self._channel_capacity
-        )
         return self.compiled_recurrence().makespan(
             self._service,
             self._wire_delay,
             n_waves,
-            capacity=capacity,
+            capacity=self._channel_capacity,
         )
 
     def critical_path(self, waves: Optional[int] = None):
@@ -593,7 +635,7 @@ class SelfTimedProgramSimulator:
         critical_path_from_trace`), whose ``credit`` cause annotations
         carry the capacity back-edges.
         """
-        if self._channel_capacity is not None or self._capacity_map is not None:
+        if self._channel_capacity is not None:
             raise ValueError(
                 "critical_path() replays the unbounded recurrence; for a "
                 "bounded run record a trace and use "
@@ -615,83 +657,17 @@ class SelfTimedProgramSimulator:
         recurrence — the oracle for :meth:`recurrence_makespan` — honouring
         ``channel_capacity`` exactly like the event engine."""
         n_waves = waves if waves is not None else self._program.cycles
-        cells = self._comm.nodes()
-        cap = self._channel_capacity
-        finish: Dict[CellId, float] = {c: 0.0 for c in cells}
-        if cap is None and self._capacity_map is None:
-            for k in range(n_waves):
-                new_finish: Dict[CellId, float] = {}
-                for c in cells:
-                    start = finish[c]
-                    if k > 0:
-                        for p in self._comm.predecessors(c):
-                            start = max(start, finish[p] + self._wire_delay)
-                    new_finish[c] = start + self._service(c, k)
-                # Wave k's start depends on wave k-1 finishes only, so the
-                # whole wave updates atomically.
-                finish = new_finish
-            return max(finish.values(), default=0.0)
-
-        preds = {c: list(self._comm.predecessors(c)) for c in cells}
-        succs = {c: list(self._comm.successors(c)) for c in cells}
-        cap_map = self._capacity_map
-        if cap_map is not None:
-            # Heterogeneous depths: capacity-1 edges couple starts within a
-            # wave (evaluate consumers-first over that subgraph); deeper
-            # edges read start rows from a sliding window whose depth is
-            # the largest finite capacity minus one.
-            cap1 = [e for e, d in cap_map.items() if d == 1]
-            order = _reverse_topological(self._comm, cap1) if cap1 else cells
-            max_cap = max(cap_map.values(), default=1)
-            window: deque = deque()
-            for k in range(n_waves):
-                starts: Dict[CellId, float] = {}
-                for c in order:
-                    start = finish[c]
-                    if k > 0:
-                        for p in preds[c]:
-                            start = max(start, finish[p] + self._wire_delay)
-                    for s in succs[c]:
-                        d = cap_map.get((c, s))
-                        if d is None or k < d:
-                            continue
-                        if d == 1:
-                            start = max(start, starts[s])
-                        else:
-                            # window[-1] is wave k-1, so wave k-d+1 sits at
-                            # index -(d-1); valid because k >= d.
-                            start = max(start, window[-(d - 1)][s])
-                    starts[c] = start
-                finish = {c: starts[c] + self._service(c, k) for c in cells}
-                if max_cap >= 2:
-                    window.append(starts)
-                    if len(window) > max_cap - 1:
-                        window.popleft()
-            return max(finish.values(), default=0.0)
-        # Capacity 1 couples starts *within* a wave (distance k-1 = 0), so
-        # cells evaluate consumers-first; capacity >= 2 only reads start
-        # rows from earlier waves, kept in a sliding window of depth k-1.
-        order = _reverse_topological(self._comm) if cap == 1 else cells
-        history: deque = deque()
-        for k in range(n_waves):
-            starts: Dict[CellId, float] = {}
-            for c in order:
-                start = finish[c]
-                if k > 0:
-                    for p in preds[c]:
-                        start = max(start, finish[p] + self._wire_delay)
-                if k >= cap:
-                    if cap == 1:
-                        for s in succs[c]:
-                            start = max(start, starts[s])
-                    else:
-                        oldest = history[0]  # wave k - cap + 1
-                        for s in succs[c]:
-                            start = max(start, oldest[s])
-                starts[c] = start
-            finish = {c: starts[c] + self._service(c, k) for c in cells}
-            if cap >= 2:
-                history.append(starts)
-                if len(history) > cap - 1:
-                    history.popleft()
+        if n_waves < 1:
+            raise ValueError("need at least one wave")
+        finish: Dict[CellId, float] = {}
+        for finish in islice(
+            _scalar_waves(
+                self._comm,
+                self._service,
+                self._wire_delay,
+                self._channel_capacity,
+            ),
+            n_waves,
+        ):
+            pass
         return max(finish.values(), default=0.0)

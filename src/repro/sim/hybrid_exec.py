@@ -20,15 +20,13 @@ start time.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Tuple
-
-import numpy as np
 
 from repro.arrays.ideal import LockstepExecutor
 from repro.arrays.systolic import SystolicProgram
 from repro.core.hybrid import HybridScheme, build_hybrid
+from repro.sim.hybrid_sim import _barrier_timing
 
 CellId = Hashable
 ElementId = Tuple[int, int]
@@ -78,49 +76,10 @@ def execute_program_hybrid(
     uses the lockstep interpreter (the barrier makes that exact); timing
     follows the controller recurrence with optional per-step ``jitter``.
     """
-    if delta < 0 or m <= 0 or jitter < 0:
-        raise ValueError("delta >= 0, m > 0, jitter >= 0 required")
     n_steps = steps if steps > 0 else program.cycles
     scheme = build_hybrid(program.array, element_size=element_size)
-    rng = random.Random(seed)
-
-    eids = list(scheme.elements.keys())
-    base_cost: Dict[ElementId, float] = {
-        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta
-        for e in eids
-    }
-    handshake: Dict[Tuple[ElementId, ElementId], float] = {}
-    for a, b in scheme.element_graph.communicating_pairs():
-        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
-        handshake[(a, b)] = d
-        handshake[(b, a)] = d
-
-    # Compiled max-plus barrier step (repro.sim.compiled) — same values as
-    # the per-element dict loop: neighbor max is order-free, and the adds
-    # keep the scalar association start + (base + jitter).
-    from repro.sim.compiled import CompiledMaxPlus
-
-    kernel = CompiledMaxPlus(
-        eids, {e: scheme.element_graph.neighbors(e) for e in eids}, handshake
-    )
-    base = np.asarray([base_cost[e] for e in eids], dtype=np.float64)
-
-    finish = np.zeros(len(eids), dtype=np.float64)
-    start_times: List[Dict[ElementId, float]] = []
-    finish_times: List[Dict[ElementId, float]] = []
-    for _step in range(n_steps):
-        start = kernel.starts(finish)
-        if jitter > 0:
-            # One uniform draw per element in eids order — the scalar
-            # loop's exact RNG consumption sequence.
-            cost = base + np.asarray(
-                [rng.uniform(0.0, jitter * delta) for _ in eids]
-            )
-        else:
-            cost = base
-        finish = start + cost
-        start_times.append(dict(zip(eids, start.tolist())))
-        finish_times.append(dict(zip(eids, finish.tolist())))
+    timing = _barrier_timing(scheme, n_steps, delta, m, jitter, seed)
+    eids = timing.eids
 
     # Functional execution: the barrier makes hybrid semantics lockstep.
     executor = LockstepExecutor(program.array.comm, program.pes)
@@ -128,18 +87,12 @@ def execute_program_hybrid(
     executor.run(n_steps)
     result = program.read_result(executor)
 
-    tail = [max(f.values()) for f in finish_times]
-    half = n_steps // 2
-    if n_steps - half >= 2:
-        cycle = (tail[-1] - tail[half]) / (n_steps - 1 - half)
-    else:
-        cycle = tail[-1] / n_steps
     return HybridExecution(
         result=result,
         steps=n_steps,
-        start_times=start_times,
-        finish_times=finish_times,
-        cycle_time=cycle,
-        makespan=tail[-1],
+        start_times=[dict(zip(eids, v.tolist())) for v in timing.starts],
+        finish_times=[dict(zip(eids, v.tolist())) for v in timing.finishes],
+        cycle_time=timing.cycle_time,
+        makespan=timing.makespans[-1],
         scheme=scheme,
     )

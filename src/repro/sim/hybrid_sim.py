@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +46,94 @@ class HybridRunResult:
     @property
     def within_analytic_bound(self) -> bool:
         return self.cycle_time <= self.analytic_cycle_time + 1e-9
+
+
+@dataclass(frozen=True)
+class _BarrierTiming:
+    """Per-step start/finish vectors (indexed like ``eids``) of the
+    controller recurrence, plus the figures derived from them."""
+
+    eids: List[ElementId]
+    starts: List[np.ndarray]
+    finishes: List[np.ndarray]
+    makespans: List[float]
+    cycle_time: float
+    analytic_cycle_time: float
+
+
+def _barrier_timing(
+    scheme: HybridScheme,
+    steps: int,
+    delta: float,
+    m: float,
+    jitter: float,
+    seed: int,
+) -> _BarrierTiming:
+    """Run the neighbor-barrier recurrence for ``steps`` global steps —
+    the one timing loop behind :func:`simulate_hybrid` and
+    :func:`repro.sim.hybrid_exec.execute_program_hybrid`."""
+    if delta < 0 or m <= 0 or jitter < 0:
+        raise ValueError("delta >= 0, m > 0, jitter >= 0 required")
+    rng = random.Random(seed)
+    eids = list(scheme.elements.keys())
+    # Per-element fixed local cost: clock down + compute + clock gathering up.
+    base_cost: Dict[ElementId, float] = {
+        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta for e in eids
+    }
+    handshake: Dict[Tuple[ElementId, ElementId], float] = {}
+    for a, b in scheme.element_graph.communicating_pairs():
+        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
+        handshake[(a, b)] = d
+        handshake[(b, a)] = d
+
+    # The neighbor barrier is a max-plus step — compiled to grouped array
+    # maxima (identical values: max is order-free, the adds keep the
+    # scalar association start + (base + jitter)).
+    from repro.sim.compiled import CompiledMaxPlus
+
+    kernel = CompiledMaxPlus(
+        eids, {e: scheme.element_graph.neighbors(e) for e in eids}, handshake
+    )
+    base = np.asarray([base_cost[e] for e in eids], dtype=np.float64)
+
+    finish = np.zeros(len(eids), dtype=np.float64)
+    starts: List[np.ndarray] = []
+    finishes: List[np.ndarray] = []
+    makespans: List[float] = []
+    for _step in range(steps):
+        start = kernel.starts(finish)
+        if jitter > 0:
+            # One uniform draw per element in eids order — the exact RNG
+            # consumption sequence of the scalar loop.
+            cost = base + np.asarray(
+                [rng.uniform(0.0, jitter * delta) for _ in eids]
+            )
+        else:
+            cost = base
+        finish = start + cost
+        starts.append(start)
+        finishes.append(finish)
+        makespans.append(float(finish.max()))
+
+    half = steps // 2
+    steady = makespans[half:]
+    if len(steady) >= 2:
+        cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
+    else:
+        cycle = makespans[-1] / steps
+    analytic = (
+        max(base_cost.values())
+        + (max(handshake.values()) if handshake else 0.0)
+        + jitter * delta
+    )
+    return _BarrierTiming(
+        eids=eids,
+        starts=starts,
+        finishes=finishes,
+        makespans=makespans,
+        cycle_time=cycle,
+        analytic_cycle_time=analytic,
+    )
 
 
 def simulate_hybrid(
@@ -75,90 +163,42 @@ def simulate_hybrid(
     """
     if steps < 2:
         raise ValueError("need at least two steps to measure a cycle")
-    if delta < 0 or m <= 0 or jitter < 0:
-        raise ValueError("delta >= 0, m > 0, jitter >= 0 required")
-    rng = random.Random(seed)
-
-    eids = list(scheme.elements.keys())
-    # Per-element fixed local cost: clock down + compute + clock gathering up.
-    base_cost: Dict[ElementId, float] = {
-        e: 2.0 * m * scheme.local_trees[e].longest_root_to_leaf() + delta for e in eids
-    }
-    handshake: Dict[Tuple[ElementId, ElementId], float] = {}
-    for a, b in scheme.element_graph.communicating_pairs():
-        d = m * scheme.controllers[a].manhattan(scheme.controllers[b])
-        handshake[(a, b)] = d
-        handshake[(b, a)] = d
-
+    timing = _barrier_timing(scheme, steps, delta, m, jitter, seed)
+    makespans = timing.makespans
     tracer = tracer if tracer is not None else NULL_TRACER
-    skew_hist = (
-        metrics.histogram("hybrid.step_skew") if metrics is not None else None
-    )
-
-    # The neighbor barrier is a max-plus step — compiled to grouped array
-    # maxima (identical values: max is order-free, the adds keep the
-    # scalar association start + (base + jitter)).
-    from repro.sim.compiled import CompiledMaxPlus
-
-    kernel = CompiledMaxPlus(
-        eids, {e: scheme.element_graph.neighbors(e) for e in eids}, handshake
-    )
-    base = np.asarray([base_cost[e] for e in eids], dtype=np.float64)
-
-    finish = np.zeros(len(eids), dtype=np.float64)
-    finish_times = []
-    for step in range(steps):
-        start = kernel.starts(finish)
-        if jitter > 0:
-            # One uniform draw per element in eids order — the exact RNG
-            # consumption sequence of the scalar loop.
-            cost = base + np.asarray(
-                [rng.uniform(0.0, jitter * delta) for _ in eids]
-            )
-        else:
-            cost = base
-        finish = start + cost
-        finish_times.append(float(finish.max()))
-        if tracer.enabled:
+    if metrics is not None:
+        skew_hist = metrics.histogram("hybrid.step_skew")
+        for start in timing.starts:
+            skew_hist.observe(float(start.max()) - float(start.min()))
+    if tracer.enabled:
+        for step, (start, finish) in enumerate(
+            zip(timing.starts, timing.finishes)
+        ):
             starts_list = start.tolist()
             finish_list = finish.tolist()
-            for e, s, f in zip(eids, starts_list, finish_list):
+            for e, s, f in zip(timing.eids, starts_list, finish_list):
                 tracer.event(
                     f, "hybrid", "step", cell=e,
                     step=step, start=s, finish=f,
                 )
             spread = max(starts_list) - min(starts_list)
             tracer.event(
-                finish_times[-1], "hybrid", "step_summary",
-                step=step, start_spread=spread, makespan=finish_times[-1],
+                makespans[step], "hybrid", "step_summary",
+                step=step, start_spread=spread, makespan=makespans[step],
             )
-        if skew_hist is not None:
-            skew_hist.observe(float(start.max()) - float(start.min()))
-
-    half = steps // 2
-    steady = finish_times[half:]
-    if len(steady) >= 2:
-        cycle = (steady[-1] - steady[0]) / (len(steady) - 1)
-    else:
-        cycle = finish_times[-1] / steps
-    analytic = (
-        max(base_cost.values())
-        + (max(handshake.values()) if handshake else 0.0)
-        + jitter * delta
-    )
-    if tracer.enabled:
         tracer.event(
-            finish_times[-1], "hybrid", "run",
-            elements=len(eids), steps=steps,
-            cycle_time=cycle, analytic_cycle_time=analytic,
+            makespans[-1], "hybrid", "run",
+            elements=len(timing.eids), steps=steps,
+            cycle_time=timing.cycle_time,
+            analytic_cycle_time=timing.analytic_cycle_time,
         )
     if metrics is not None:
-        metrics.gauge("hybrid.cycle_time").set(cycle)
+        metrics.gauge("hybrid.cycle_time").set(timing.cycle_time)
         metrics.counter("hybrid.steps").inc(steps)
     return HybridRunResult(
-        elements=len(eids),
+        elements=len(timing.eids),
         steps=steps,
-        completion_time=finish_times[-1],
-        cycle_time=cycle,
-        analytic_cycle_time=analytic,
+        completion_time=makespans[-1],
+        cycle_time=timing.cycle_time,
+        analytic_cycle_time=timing.analytic_cycle_time,
     )

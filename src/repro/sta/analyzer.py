@@ -24,13 +24,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.dataflow import CapacitySpec, _capacity_items
 from repro.sta.design import Design
 from repro.sta.drc import RuleResult, run_drc
 from repro.sta.flow import (
-    CapacitySpec,
     FlowAnalysis,
     ServiceSpec,
-    _capacity_items,
     _service_vector,
     analyze_flow,
 )
@@ -193,7 +192,7 @@ class STAAnalyzer:
         key: Tuple[Any, ...] = (
             services.tobytes(),
             float(wire_delay),
-            tuple(_capacity_items(comm, capacity)),
+            tuple(_capacity_items(comm.edges(), capacity)),
         )
         hit = key in self._flow
         if not hit:

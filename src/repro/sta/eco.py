@@ -72,6 +72,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.sim.dataflow import _channel_depth
 from repro.sta.design import Design, EdgeKey
 from repro.sta.drc import run_drc
 from repro.sta.flow import (
@@ -398,12 +399,11 @@ class ECOSession:
         the entry, warm-starting Howard from the cached policy.
         """
         self._check_external()
-        if depth < 1:
-            raise ValueError("channel capacity must be >= 1")
+        depth = _channel_depth(depth, edge)
         if edge not in self._row:
             raise KeyError(f"edge {edge!r} is not a COMM edge")
         old = self._capacity.get(edge)
-        self._capacity[edge] = int(depth)
+        self._capacity[edge] = depth
         widening = old is not None and depth >= old
         comm = self._design.array.comm
         cap = dict(self._capacity)
@@ -443,7 +443,7 @@ class ECOSession:
         rows = np.empty(0, dtype=np.int64)
         return self._record(
             "set_channel_capacity",
-            f"{_edge_str(edge)} depth={int(depth)}",
+            f"{_edge_str(edge)} depth={depth}",
             rows,
             recomputed,
         )

@@ -64,6 +64,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -83,13 +84,18 @@ import numpy as np
 from repro.graphs.comm import CommGraph
 from repro.graphs.csr import csr_from_comm
 from repro.obs.critpath import CriticalPath, PathStep
-from repro.sim.compiled import CompiledRecurrence, RecurrenceStepper
-from repro.sim.dataflow import ChannelDeadlockError
+from repro.sim.compiled import CompiledRecurrence
+from repro.sim.dataflow import (
+    CapacitySpec,
+    _capacity_items,
+    _reverse_topological,
+    _scalar_waves,
+    per_cell_service,
+)
 
 CellId = Hashable
 EdgeKey = Tuple[CellId, CellId]
 ServiceSpec = Union[float, Mapping[CellId, float], Callable[[CellId, int], float]]
-CapacitySpec = Optional[Union[int, Mapping[EdgeKey, int]]]
 
 #: Policy-improvement threshold for Howard iteration.  Sits between
 #: float rounding noise (~1e-16 relative) and the smallest true
@@ -265,37 +271,6 @@ def _service_vector(
     return out
 
 
-def _capacity_items(
-    comm: CommGraph, capacity: CapacitySpec
-) -> List[Tuple[EdgeKey, int]]:
-    """Normalized ``(edge, depth)`` list (validated) for a spec."""
-    if capacity is None:
-        return []
-    edges = comm.edges()
-    if isinstance(capacity, Mapping):
-        edge_set = set(edges)
-        items: List[Tuple[EdgeKey, int]] = []
-        for edge in edges:  # deterministic COMM order
-            d_raw = capacity.get(edge)
-            if d_raw is None:
-                continue
-            d = int(d_raw)
-            if d < 1:
-                raise ValueError(
-                    f"per-edge channel capacity must be >= 1, got {d} "
-                    f"for edge {edge!r}"
-                )
-            items.append((edge, d))
-        unknown = [e for e in capacity if e not in edge_set]
-        if unknown:
-            raise ValueError(f"capacity for unknown COMM edge {unknown[0]!r}")
-        return items
-    d = int(capacity)
-    if d < 1:
-        raise ValueError("channel capacity must be >= 1 (or None)")
-    return [(edge, d) for edge in edges]
-
-
 def flow_graph(
     comm: CommGraph,
     service: ServiceSpec,
@@ -322,7 +297,7 @@ def flow_graph(
     # credit back edges (COMM edge order) — all as array blocks.
     fwd_dst = np.repeat(ids, np.diff(csr.indptr))
     fwd_src = csr.indices.astype(np.int64)
-    cap_items = _capacity_items(comm, capacity)
+    cap_items = _capacity_items(comm.edges(), capacity)
     cr_src = np.asarray(
         [index[v] for (u, v), _ in cap_items], dtype=np.int64
     )
@@ -385,7 +360,9 @@ def detect_deadlock(
     simulator raises :class:`~repro.sim.dataflow.ChannelDeadlockError`
     eagerly (the ``flow-deadlock`` oracle asserts the equivalence).
     """
-    cap1 = [edge for edge, d in _capacity_items(comm, capacity) if d == 1]
+    cap1 = [
+        edge for edge, d in _capacity_items(comm.edges(), capacity) if d == 1
+    ]
     if not cap1:
         return None
     succs: Dict[CellId, List[CellId]] = {}
@@ -483,33 +460,15 @@ def _contract(fg: FlowGraph) -> _Normalized:
     zero_ids = np.nonzero(zero_mask)[0]
     pos_ids = np.nonzero(~zero_mask)[0]
     zsucc: Dict[int, List[int]] = {}
-    indeg = [0] * n
     for i in zero_ids.tolist():
         zsucc.setdefault(int(fg.esrc[i]), []).append(i)
-        indeg[int(fg.edst[i])] += 1
-    # Kahn over the zero subgraph: topological order + cycle check.
-    queue = [u for u in range(n) if indeg[u] == 0]
-    topo: List[int] = []
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        topo.append(u)
-        for e in zsucc.get(u, ()):
-            d = int(fg.edst[e])
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    if len(topo) != n:
-        raise ChannelDeadlockError(
-            "token-free cycle in the flow graph (capacity-1 channels on "
-            "a COMM cycle): the marked graph is dead; raise a capacity "
-            "on the cycle to >= 2"
-        )
     # Longest zero-path expansion, processed in reverse topological
-    # order so every successor's table exists before its predecessors'.
+    # order so every successor's table exists before its predecessors'
+    # (the sort raises on a token-free cycle).
+    zero_edges = zip(fg.esrc[zero_ids].tolist(), fg.edst[zero_ids].tolist())
+    reverse_topo = _reverse_topological(range(n), list(zero_edges))
     best: Dict[int, Dict[int, Tuple[float, Tuple[int, ...]]]] = {}
-    for u in reversed(topo):
+    for u in reverse_topo:
         if u not in zsucc:
             continue
         table: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
@@ -1293,6 +1252,21 @@ class SteadyState:
         return float(offsets.min()), float(offsets.max())
 
 
+def _steady_inputs(
+    comm: CommGraph, service: ServiceSpec, capacity: CapacitySpec
+) -> Tuple[Callable[[CellId, int], float], int]:
+    """What both steady-state simulators need besides the recurrence:
+    the wave-invariant per-cell service and the recurrence's state
+    memory in waves (the deepest channel's window plus one)."""
+    cells = comm.nodes()
+    if not cells:
+        raise ValueError("empty COMM graph")
+    services = _service_vector(cells, service)
+    svc = per_cell_service(dict(zip(cells, services.tolist())))
+    depths = [d for _, d in _capacity_items(comm.edges(), capacity)]
+    return svc, max(depths, default=1) + 1
+
+
 def simulate_steady_state(
     comm: CommGraph,
     service: ServiceSpec,
@@ -1312,18 +1286,10 @@ def simulate_steady_state(
     state memory: the deepest capacity window plus one), which by
     max-plus shift-invariance pins the regime exactly.
     """
-    cells = comm.nodes()
-    if not cells:
-        raise ValueError("empty COMM graph")
+    svc, depth = _steady_inputs(comm, service, capacity)
     if compiled is None:
         compiled = CompiledRecurrence(comm)
-    services = _service_vector(cells, service)
-    from repro.sim.dataflow import per_cell_service
-
-    svc = per_cell_service({c: float(services[i]) for i, c in enumerate(cells)})
     stepper = compiled.stepper(svc, wire_delay, capacity=capacity)
-    depths = [d for _, d in _capacity_items(comm, capacity)]
-    depth = max(depths, default=1) + 1
     history: deque = deque(maxlen=2 * max_period + depth + 1)
     makespans: List[float] = []
     for t in range(max_waves):
@@ -1407,65 +1373,11 @@ def simulate_steady_state_scalar(
     would run.
     """
     cells = comm.nodes()
-    if not cells:
-        raise ValueError("empty COMM graph")
-    services = _service_vector(cells, service)
-    svc = {c: float(services[i]) for i, c in enumerate(cells)}
-    cap_items = _capacity_items(comm, capacity)
-    cap: Dict[EdgeKey, int] = dict(cap_items)
-    max_depth = max(cap.values(), default=1)
-    depth = max_depth + 1
-    # Consumers before producers along capacity-1 edges (the scalar
-    # resolution of the same-wave coupling; raises on a zero-token cycle).
-    cap1 = [e for e, d in cap.items() if d == 1]
-    order = list(cells)
-    if cap1:
-        succs_1: Dict[Hashable, List[Hashable]] = {c: [] for c in cells}
-        indeg = {c: 0 for c in cells}
-        for u, v in cap1:
-            succs_1[v].append(u)  # consumer -> producer
-            indeg[u] += 1
-        ready = [c for c in cells if indeg[c] == 0]
-        order = []
-        while ready:
-            c = ready.pop()
-            order.append(c)
-            for u in succs_1[c]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    ready.append(u)
-        if len(order) != len(cells):
-            raise ChannelDeadlockError(
-                "capacity-1 channels form a directed COMM cycle: a "
-                "zero-token marked-graph cycle (deadlock); raise some "
-                "capacity on the cycle to >= 2"
-            )
-    preds = {c: comm.predecessors(c) for c in cells}
-    succs = {c: comm.successors(c) for c in cells}
-    finish = {c: 0.0 for c in cells}
-    start_window: deque = deque(maxlen=max(max_depth - 1, 0) or None)
+    svc, depth = _steady_inputs(comm, service, capacity)
+    waves = _scalar_waves(comm, svc, wire_delay, capacity)
     history: deque = deque(maxlen=2 * max_period + depth + 1)
     makespans: List[float] = []
-    for t in range(max_waves):
-        starts: Dict[Hashable, float] = {}
-        for c in order:
-            st = finish[c]
-            if t > 0:
-                for p in preds[c]:
-                    arrival = finish[p] + wire_delay
-                    if arrival > st:
-                        st = arrival
-            for s in succs[c]:
-                d = cap.get((c, s))
-                if d is None or t < d:
-                    continue
-                bound = starts[s] if d == 1 else start_window[-(d - 1)][s]
-                if bound > st:
-                    st = bound
-            starts[c] = st
-        if start_window.maxlen:
-            start_window.append(starts)
-        finish = {c: starts[c] + svc[c] for c in cells}
+    for t, finish in enumerate(islice(waves, max_waves)):
         row = [finish[c] for c in cells]
         history.append(row)
         makespans.append(max(row))

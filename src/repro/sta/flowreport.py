@@ -27,12 +27,10 @@ from repro import __version__
 from repro.graphs.comm import CommGraph
 from repro.obs.schema import validate_flow_report
 from repro.sim.compiled import CompiledRecurrence
-from repro.sim.dataflow import per_cell_service
+from repro.sim.dataflow import CapacitySpec, _capacity_items, per_cell_service
 from repro.sta.flow import (
-    CapacitySpec,
     FlowAnalysis,
     ServiceSpec,
-    _capacity_items,
     _service_vector,
     analyze_flow,
     certify_mcm,
@@ -45,11 +43,13 @@ __all__ = ["build_flow_report", "render_flow_report"]
 
 
 def _capacity_label(comm: CommGraph, capacity: CapacitySpec) -> str:
-    if capacity is None:
+    edges = comm.edges()
+    items = _capacity_items(edges, capacity)
+    depths = {d for _, d in items}
+    if not items:
         return "unbounded"
-    if isinstance(capacity, int):
-        return f"uniform:{capacity}"
-    items = _capacity_items(comm, capacity)
+    if len(items) == len(edges) and len(depths) == 1:
+        return f"uniform:{depths.pop()}"
     return f"per-edge:{len(items)}"
 
 

@@ -30,8 +30,10 @@ from repro.sim.dataflow import (
     SelfTimedProgramSimulator,
     constant_service,
     hashed_service,
+    per_cell_service,
 )
 from repro.sim.faults import JitteredSchedule
+from repro.sta.flow import detect_deadlock
 
 
 # ----------------------------------------------------------------------
@@ -106,18 +108,34 @@ def test_compiled_clocked_equals_scalar(case):
 
 
 @given(random_programs(), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_compiled_recurrence_equals_scalar(program, data):
     rng = random.Random(data.draw(st.integers(0, 2**30)))
+    comm = program.array.comm
     service = rng.choice(
         [
             None,
             constant_service(rng.uniform(0.25, 3.0)),
+            per_cell_service({c: rng.uniform(0.25, 3.0) for c in comm.nodes()}),
             hashed_service(0.5, 2.5, 0.4, seed=rng.randint(0, 2**20)),
         ]
     )
+    # Unbounded, uniform, or a per-edge map with depth-1 edges; maps whose
+    # depth-1 edges close a cycle deadlock and are redrawn as unbounded.
+    capacity = rng.choice(
+        [
+            None,
+            rng.randint(2, 5),
+            {e: rng.randint(1, 4) for e in comm.edges() if rng.random() < 0.7},
+        ]
+    )
+    if detect_deadlock(comm, capacity) is not None:
+        capacity = None
     sim = SelfTimedProgramSimulator(
-        program, service=service, wire_delay=rng.uniform(0.0, 2.0)
+        program,
+        service=service,
+        wire_delay=rng.uniform(0.0, 2.0),
+        channel_capacity=capacity,
     )
     waves = rng.choice([None, rng.randint(1, 9)])
     assert sim.recurrence_makespan(waves) == (

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.arrays.systolic import build_mesh_matmul, build_odd_even_sorter
+from repro.core.hybrid import build_hybrid
 from repro.sim.hybrid_exec import execute_program_hybrid
+from repro.sim.hybrid_sim import simulate_hybrid
 
 
 class TestFunctionalEquivalence:
@@ -78,6 +80,23 @@ class TestTiming:
         execution = execute_program_hybrid(program, element_size=2.0)
         assert len(execution.start_times) == execution.steps
         assert len(execution.finish_times) == execution.steps
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.4])
+    def test_timing_equals_simulate_hybrid(self, jitter):
+        program = build_mesh_matmul(
+            np.eye(4).tolist(), np.ones((4, 4)).tolist()
+        )
+        execution = execute_program_hybrid(
+            program, element_size=2.0, delta=1.5, m=0.75, jitter=jitter,
+            seed=7, steps=20,
+        )
+        run = simulate_hybrid(
+            build_hybrid(program.array, element_size=2.0), 20, delta=1.5,
+            m=0.75, jitter=jitter, seed=7,
+        )
+        assert run.elements > 1
+        assert execution.makespan == run.completion_time
+        assert execution.cycle_time == run.cycle_time
 
     def test_rejects_bad_args(self):
         program = build_odd_even_sorter([1.0, 2.0])
