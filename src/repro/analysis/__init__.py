@@ -18,6 +18,7 @@ from repro.analysis.montecarlo import (
 from repro.analysis.crossover import Crossover, find_crossover, winning_factor
 from repro.analysis.perf import (
     KernelTiming,
+    gate_failures,
     run_perf_suite,
     speedup_by_kernel,
     write_bench_results,
@@ -38,6 +39,7 @@ __all__ = [
     "find_crossover",
     "winning_factor",
     "KernelTiming",
+    "gate_failures",
     "run_perf_suite",
     "speedup_by_kernel",
     "write_bench_results",

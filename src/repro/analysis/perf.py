@@ -4,7 +4,7 @@ Times the scalar reference paths against the batched/parallel kernels
 they were replaced by:
 
 * ``max_skew_bound`` / ``max_skew_lower_bound`` — per-pair LCA walks vs
-  the Euler-tour O(1)-LCA batch kernel (warm, i.e. index built and pair
+  the binary-lifting LCA batch kernel (warm, i.e. index built and pair
   translation memoized: the steady state every sweep and repeated bound
   runs in);
 * the same bound evaluated *cold* on a fresh tree (index build + pair
@@ -26,18 +26,21 @@ Every timing row records the measured equivalence gap
 cannot slip through the perf suite.  ``write_bench_results`` emits the
 rows as a ``BENCH_perf.json`` conforming to
 :data:`repro.obs.schema.BENCHMARK_RESULT_SCHEMA` (validated before
-writing); ``benchmarks/perf/`` and ``python -m repro bench`` are thin
-drivers over this module.
+writing); ``python -m repro bench`` is the driver.  :data:`GATES` is the
+one table of speedup floors, and :func:`gate_failures` applies it (plus
+universal exactness) to an artifact — ``benchmarks/perf/check_regression.py``
+is its command-line front end.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 import tracemalloc
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -59,7 +62,6 @@ from repro.core.models import (
     max_skew_lower_bound,
     max_skew_lower_bound_scalar,
 )
-from repro.clocktree.lca import EulerTourIndex, LiftingLCAIndex
 from repro.graphs.csr import csr_from_comm, grid_csr
 from repro.obs.schema import validate_benchmark_result
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -164,12 +166,37 @@ def _with_mem(
 
 def _best_time(fn: Callable[[], object], repeats: int) -> float:
     """Best-of-N wall clock — the standard noise floor for microbenches."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _timed(
+    kernel: str,
+    size: int,
+    items: int,
+    baseline: Callable[[], object],
+    fast: Callable[[], object],
+    diff: Union[float, Callable[[], float]],
+    repeats: int,
+    measure_mem: bool,
+) -> KernelTiming:
+    """One row: best-of-``repeats`` ``baseline`` vs ``fast``, the measured
+    output gap ``diff``, and ``fast``'s peak memory when ``measure_mem``.
+    A callable ``diff`` is evaluated after the timing, for rows whose timed
+    calls edit the state it compares."""
+    baseline_s = _best_time(baseline, repeats)
+    fast_s = _best_time(fast, repeats)
+    if callable(diff):
+        diff = diff()
+    return _with_mem(
+        KernelTiming(kernel, size, items, baseline_s, fast_s, diff), fast, measure_mem
+    )
 
 
 def bench_skew_kernels(
@@ -211,83 +238,32 @@ def bench_skew_kernels(
 
     # Warm: index built and memo populated — the steady state.
     batch_value = max_skew_bound(tree, pairs, model)
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "max_skew_bound", n, len(pairs),
-                _best_time(lambda: max_skew_bound_scalar(tree, pairs, model), repeats),
-                _best_time(lambda: max_skew_bound(tree, pairs, model), repeats),
-                abs(batch_value - max_skew_bound_scalar(tree, pairs, model)),
-            ),
-            lambda: max_skew_bound(tree, pairs, model),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "max_skew_bound", n, len(pairs),
+        lambda: max_skew_bound_scalar(tree, pairs, model),
+        lambda: max_skew_bound(tree, pairs, model),
+        abs(batch_value - max_skew_bound_scalar(tree, pairs, model)),
+        repeats, measure_mem,
+    ))
 
     floor_value = max_skew_lower_bound(tree, pairs, model)
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "max_skew_lower_bound", n, len(pairs),
-                _best_time(lambda: max_skew_lower_bound_scalar(tree, pairs, model), repeats),
-                _best_time(lambda: max_skew_lower_bound(tree, pairs, model), repeats),
-                abs(floor_value - max_skew_lower_bound_scalar(tree, pairs, model)),
-            ),
-            lambda: max_skew_lower_bound(tree, pairs, model),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "max_skew_lower_bound", n, len(pairs),
+        lambda: max_skew_lower_bound_scalar(tree, pairs, model),
+        lambda: max_skew_lower_bound(tree, pairs, model),
+        abs(floor_value - max_skew_lower_bound_scalar(tree, pairs, model)),
+        repeats, measure_mem,
+    ))
 
     buffered = BufferedClockTree(tree)
     buffered_value = buffered.max_skew(pairs)
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "buffered_max_skew", n, len(pairs),
-                _best_time(lambda: buffered.max_skew_scalar(pairs), repeats),
-                _best_time(lambda: buffered.max_skew(pairs), repeats),
-                abs(buffered_value - buffered.max_skew_scalar(pairs)),
-            ),
-            lambda: buffered.max_skew(pairs),
-            measure_mem,
-        )
-    )
-
-    # Cold LCA index construction: the Python-loop Euler tour + sparse
-    # table vs the vectorized binary-lifting build over the tree's dense
-    # store.  Both builds end with the same batch metric query; inputs
-    # (children map, root-distance dict) are prepared outside the timing.
-    children = tree.children_map()
-    rd = {node: tree.root_distance(node) for node in tree.nodes()}
-    root = tree.nodes()[0]
-    store = tree.dense_store
-
-    def euler_build():
-        return EulerTourIndex(root, children, rd).path_metrics(pairs)
-
-    def lifting_build():
-        return LiftingLCAIndex(store).path_metrics(pairs)
-
-    ed, es = euler_build()
-    ld, ls = lifting_build()
-    lca_diff = float(
-        max(
-            np.abs(ed - ld).max() if len(ed) else 0.0,
-            np.abs(es - ls).max() if len(es) else 0.0,
-        )
-    )
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "lca_cold_build", n, len(pairs),
-                _best_time(euler_build, repeats),
-                _best_time(lifting_build, repeats),
-                lca_diff,
-            ),
-            lifting_build,
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "buffered_max_skew", n, len(pairs),
+        lambda: buffered.max_skew_scalar(pairs),
+        lambda: buffered.max_skew(pairs),
+        abs(buffered_value - buffered.max_skew_scalar(pairs)),
+        repeats, measure_mem,
+    ))
     return results
 
 
@@ -374,20 +350,16 @@ def bench_eco(
         session.repad_edge(edge, pads[state["session"]])
         return session_query()
 
-    baseline_s = _best_time(baseline_repad, repeats)
-    optimized_s = _best_time(session_repad, repeats)
-    # drive both sides to the identical state before the equivalence check
-    baseline_design.edge_padding[edge] = pads[1]
-    session.repad_edge(edge, pads[1])
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "eco_repad", n, len(edges), baseline_s, optimized_s, compare()
-            ),
-            session_repad,
-            measure_mem,
-        )
-    )
+    def repadded() -> float:
+        # drive both sides to the identical state, then compare
+        baseline_design.edge_padding[edge] = pads[1]
+        session.repad_edge(edge, pads[1])
+        return compare()
+
+    results.append(_timed(
+        "eco_repad", n, len(edges), baseline_repad, session_repad, repadded,
+        repeats, measure_mem,
+    ))
 
     # -- eco_resize: retune a clock-tree edge near the chain's tail -----
     nodes = baseline_design.tree.dense_store.nodes
@@ -404,19 +376,15 @@ def bench_eco(
         session.resize_buffer(node, lengths[state["session"]])
         return session_query()
 
-    baseline_s = _best_time(baseline_resize, repeats)
-    optimized_s = _best_time(session_resize, repeats)
-    baseline_design.tree.set_edge_length(node, lengths[1])
-    session.resize_buffer(node, lengths[1])
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "eco_resize", n, len(edges), baseline_s, optimized_s, compare()
-            ),
-            session_resize,
-            measure_mem,
-        )
-    )
+    def resized() -> float:
+        baseline_design.tree.set_edge_length(node, lengths[1])
+        session.resize_buffer(node, lengths[1])
+        return compare()
+
+    results.append(_timed(
+        "eco_resize", n, len(edges), baseline_resize, session_resize, resized,
+        repeats, measure_mem,
+    ))
     return results
 
 
@@ -443,17 +411,12 @@ def bench_tiles(
     tile_cache_clear()
     flat = flat_summary(design)
     stitched = stitched_analysis(spec, grid, grid, period, design=design)
-    return _with_mem(
-        KernelTiming(
-            "tile_stitch", side * side, flat.edges,
-            _best_time(lambda: flat_summary(design), repeats),
-            _best_time(
-                lambda: stitched_analysis(spec, grid, grid, period), repeats
-            ),
-            0.0 if stitched == flat else float("inf"),
-        ),
+    return _timed(
+        "tile_stitch", side * side, flat.edges,
+        lambda: flat_summary(design),
         lambda: stitched_analysis(spec, grid, grid, period),
-        measure_mem,
+        0.0 if stitched == flat else float("inf"),
+        repeats, measure_mem,
     )
 
 
@@ -519,15 +482,9 @@ def bench_flow(
     static_lam = static()
     fg = flow_graph(comm, service, wire, cap)
     rows = [
-        _with_mem(
-            KernelTiming(
-                "mcm_howard", side * side, fg.n_edges,
-                _best_time(simulated, repeats),
-                _best_time(static, repeats),
-                abs(static_lam - sim_lam),
-            ),
-            static,
-            measure_mem,
+        _timed(
+            "mcm_howard", side * side, fg.n_edges, simulated, static,
+            abs(static_lam - sim_lam), repeats, measure_mem,
         )
     ]
 
@@ -554,19 +511,12 @@ def bench_flow(
     sizing_diff = abs(karp_sized.cycle_time - howard_sized.cycle_time)
     if karp_sized.capacities != howard_sized.capacities:
         sizing_diff = float("inf")
-    rows.append(
-        _with_mem(
-            KernelTiming(
-                "buffer_sizing", small * small,
-                howard_sized.mcm_calls,
-                _best_time(lambda: size_with(mcm_karp), repeats),
-                _best_time(lambda: size_with(mcm_howard), repeats),
-                sizing_diff,
-            ),
-            lambda: size_with(mcm_howard),
-            measure_mem,
-        )
-    )
+    rows.append(_timed(
+        "buffer_sizing", small * small, howard_sized.mcm_calls,
+        lambda: size_with(mcm_karp),
+        lambda: size_with(mcm_howard),
+        sizing_diff, repeats, measure_mem,
+    ))
     return rows
 
 
@@ -642,52 +592,30 @@ def bench_sim_kernels(
     sim = ClockedArraySimulator(program, schedule, delta=1.0)
     compiled_run = sim.run()  # pre-warm: compile + stream plan
     scalar_run = sim.run_scalar()
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "clocked_run", n, program.cycles,
-                _best_time(lambda: sim.run_scalar(), repeats),
-                _best_time(lambda: sim.run(), repeats),
-                _clocked_diff(compiled_run, scalar_run),
-            ),
-            lambda: sim.run(),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "clocked_run", n, program.cycles, sim.run_scalar, sim.run,
+        _clocked_diff(compiled_run, scalar_run), repeats, measure_mem,
+    ))
 
     selftimed = SelfTimedProgramSimulator(program, wire_delay=0.5)
     compiled_span = selftimed.recurrence_makespan()  # pre-warm the kernel
     scalar_span = selftimed.recurrence_makespan_scalar()
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "selftimed_makespan", n, program.cycles,
-                _best_time(lambda: selftimed.recurrence_makespan_scalar(), repeats),
-                _best_time(lambda: selftimed.recurrence_makespan(), repeats),
-                abs(compiled_span - scalar_span),
-            ),
-            lambda: selftimed.recurrence_makespan(),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "selftimed_makespan", n, program.cycles,
+        selftimed.recurrence_makespan_scalar, selftimed.recurrence_makespan,
+        abs(compiled_span - scalar_span), repeats, measure_mem,
+    ))
 
     bounded = SelfTimedProgramSimulator(
         program, wire_delay=0.5, channel_capacity=2
     )
     bounded_compiled = bounded.recurrence_makespan()  # pre-warm the kernel
     bounded_scalar = bounded.recurrence_makespan_scalar()
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "selftimed_backpressure", n, program.cycles,
-                _best_time(lambda: bounded.recurrence_makespan_scalar(), repeats),
-                _best_time(lambda: bounded.recurrence_makespan(), repeats),
-                abs(bounded_compiled - bounded_scalar),
-            ),
-            lambda: bounded.recurrence_makespan(),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "selftimed_backpressure", n, program.cycles,
+        bounded.recurrence_makespan_scalar, bounded.recurrence_makespan,
+        abs(bounded_compiled - bounded_scalar), repeats, measure_mem,
+    ))
     return results
 
 
@@ -721,16 +649,9 @@ def bench_engine_dispatch(
     def fast() -> int:
         return _drive_engine(Simulator(), n_events)
 
-    diff = float(abs(instrumented() - fast()))
-    return _with_mem(
-        KernelTiming(
-            "engine_dispatch", n_events, 1,
-            _best_time(instrumented, repeats),
-            _best_time(fast, repeats),
-            diff,
-        ),
-        fast,
-        measure_mem,
+    return _timed(
+        "engine_dispatch", n_events, 1, instrumented, fast,
+        float(abs(instrumented() - fast())), repeats, measure_mem,
     )
 
 
@@ -977,18 +898,12 @@ def bench_scale_timing(
         )
         else float("inf")
     )
-    results.append(
-        _with_mem(
-            KernelTiming(
-                "clocked_timing_blocked", n, kernel.n_edges,
-                _best_time(lambda: kernel.timing(ticks), repeats),
-                _best_time(lambda: kernel.timing(ticks, edge_block=edge_block), repeats),
-                blocked_diff,
-            ),
-            lambda: kernel.timing(ticks, edge_block=edge_block),
-            measure_mem,
-        )
-    )
+    results.append(_timed(
+        "clocked_timing_blocked", n, kernel.n_edges,
+        lambda: kernel.timing(ticks),
+        lambda: kernel.timing(ticks, edge_block=edge_block),
+        blocked_diff, repeats, measure_mem,
+    ))
 
     if include_scalar:
         t0 = time.perf_counter()
@@ -1083,18 +998,24 @@ def write_bench_results(
     name: str = "BENCH_perf",
     title: str = "Hot-kernel microbenchmarks: scalar/serial baseline vs batched/parallel",
     wall_s: Optional[float] = None,
+    skipped: Sequence[str] = (),
 ) -> dict:
     """Serialize timings as a schema-valid benchmark-result JSON.
 
-    The payload is validated against ``BENCHMARK_RESULT_SCHEMA`` before
+    The payload is validated against ``BENCHMARK_RESULT_SCHEMA`` and
+    serialized as strict RFC 8259 JSON (no ``NaN``/``Infinity``) before
     anything touches disk; a malformed artifact raises instead of
-    poisoning the perf trajectory.
+    poisoning the perf trajectory.  ``skipped`` lists the kernel-name
+    prefixes the run deliberately left out (``meta["skipped"]``), which
+    :func:`gate_failures` then does not require.
     """
     from repro import __version__  # deferred: repro/__init__ imports this package
 
     meta: dict = {"emitted_at": time.time(), "repro_version": __version__}
     if wall_s is not None:
         meta["timing"] = {"wall_s": wall_s}
+    if skipped:
+        meta["skipped"] = list(skipped)
     payload = {
         "name": name,
         "title": title,
@@ -1105,15 +1026,107 @@ def write_bench_results(
     errors = validate_benchmark_result(payload)
     if errors:
         raise ValueError(f"BENCH payload failed schema validation: {errors}")
+    try:
+        text = json.dumps(payload, indent=1, allow_nan=False)
+    except ValueError:
+        bad = [
+            f"{row[0]}@{row[1]}" for row in payload["rows"]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in row)
+        ]
+        raise ValueError(
+            f"BENCH payload has non-finite values in rows {bad}"
+        ) from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
     return payload
 
 
+#: Rows with at least this many cells must also clear ``Gate.floor_4096``.
+GATE_CELLS = 4096
+
+
+@dataclass(frozen=True)
+class Gate:
+    """Speedup floors for one kernel, or for every kernel starting with
+    ``kernel`` when it ends in ``_``.  ``floor`` holds at every size;
+    ``floor_4096``, when set, at rows with ``size >= GATE_CELLS``."""
+
+    kernel: str
+    floor: float
+    floor_4096: Optional[float] = None
+
+    def matches(self, kernel: str) -> bool:
+        if self.kernel.endswith("_"):
+            return kernel.startswith(self.kernel)
+        return kernel == self.kernel
+
+
+#: The perf gate — the only place speedup floors live.  Speedups are
+#: batch/scalar ratios measured on one box, so they carry across machines.
+GATES = (
+    Gate("max_skew_bound", 10.0),
+    Gate("max_skew_lower_bound", 10.0),
+    Gate("buffered_max_skew", 2.0, 5.0),
+    # cold start (index build + pair translation) must never lose
+    Gate("max_skew_bound_cold", 1.0),
+    Gate("clocked_run", 4.0, 10.0),
+    Gate("selftimed_makespan", 5.0, 10.0),
+    Gate("selftimed_backpressure", 3.0, 10.0),
+    Gate("eco_repad", 10.0),
+    Gate("eco_resize", 2.0),
+    Gate("tile_stitch", 20.0),
+    Gate("mcm_howard", 1.6, 10.0),
+    Gate("buffer_sizing", 0.22),
+    # the zero-pickle pool must never lose to the serial loop, even on
+    # one core: the win is algorithmic
+    Gate("montecarlo_workers_", 1.0),
+    Gate("montecarlo_cached", 3.0),
+)
+
+
+def gate_failures(payload: dict) -> List[str]:
+    """Every way a BENCH payload misses the perf gate, one line each (an
+    empty list passes):
+
+    * any row whose ``max_abs_diff`` is not exactly 0.0 — every fast path
+      is bit-identical to its oracle, so exactness is universal;
+    * a gated row below its floor (a NaN speedup clears no floor);
+    * a gated kernel with no row, unless ``meta["skipped"]`` excludes it;
+    * once any row of a ``floor_4096`` kernel has ``>= GATE_CELLS`` cells,
+      a ``floor_4096`` kernel without such a row.
+    """
+    headers = payload["headers"]
+    k, n, sp, d = (
+        headers.index(h) for h in ("kernel", "size", "speedup", "max_abs_diff")
+    )
+    failures: List[str] = []
+    seen: Set[str] = set()  # gated kernels with a row
+    large: Set[str] = set()  # ... with a row at >= GATE_CELLS cells
+    for row in payload["rows"]:
+        kernel, size, speedup, diff = row[k], row[n], float(row[sp]), float(row[d])
+        if diff != 0.0:
+            failures.append(f"{kernel} at {size}: max_abs_diff {diff} != 0.0")
+        gate = next((g for g in GATES if g.matches(kernel)), None)
+        if gate is None:
+            continue
+        seen.add(gate.kernel)
+        floor = gate.floor
+        if gate.floor_4096 is not None and size >= GATE_CELLS:
+            large.add(gate.kernel)
+            floor = max(floor, gate.floor_4096)
+        if not speedup >= floor:
+            failures.append(f"{kernel} at {size}: {speedup:.2f}x < {floor:g}x floor")
+    skipped = tuple(payload.get("meta", {}).get("skipped", ()))
+    for gate in GATES:
+        if gate.kernel not in seen and not gate.kernel.startswith(skipped):
+            failures.append(f"{gate.kernel}: no row")
+        if large and gate.floor_4096 is not None and gate.kernel not in large:
+            failures.append(f"{gate.kernel}: no row at >= {GATE_CELLS} cells")
+    return failures
+
+
 def speedup_by_kernel(payload: dict) -> dict:
-    """``{kernel: worst observed speedup}`` from a BENCH payload — the
-    quantity the CI perf-smoke job compares against its stored baseline."""
+    """``{kernel: worst observed speedup}`` from a BENCH payload."""
     headers = payload["headers"]
     k, sp = headers.index("kernel"), headers.index("speedup")
     out: dict = {}

@@ -219,15 +219,23 @@ def cmd_hybrid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _side_list(text: str, flag: str) -> List[int]:
+    """Parse a comma-separated list of mesh/grid sides, each >= 1."""
+    sides = [int(s) for s in text.split(",")]
+    if min(sides) < 1:
+        raise ValueError(f"{flag} entries must be >= 1, got {text!r}")
+    return sides
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Time the hot kernels (scalar vs batched, serial vs parallel) and
     write the schema-valid perf-trajectory artifact."""
     from repro.analysis.perf import run_perf_suite, write_bench_results
 
-    sides = [int(s) for s in args.sides.split(",")]
-    scale_sides = (
-        [int(s) for s in args.scale_sides.split(",")] if args.scale_sides else []
-    )
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    sides = _side_list(args.sides, "--sides")
+    scale_sides = _side_list(args.scale_sides, "--scale-sides") if args.scale_sides else []
     t0 = time.perf_counter()
     results = run_perf_suite(
         sides=sides,
@@ -266,7 +274,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 args.metrics_registry.gauge(
                     "bench.peak_mem_bytes", labels={"kernel": r.kernel}
                 ).set(float(r.peak_mem_bytes))
-    write_bench_results(results, args.out, wall_s=wall_s)
+    skipped = ["montecarlo_"] if args.no_montecarlo else []
+    write_bench_results(results, args.out, wall_s=wall_s, skipped=skipped)
     print(f"\nwrote {args.out} ({len(results)} rows, schema-validated)")
     return 0
 

@@ -223,9 +223,9 @@ def max_skew_bound(
 ) -> float:
     """``sigma``: the worst-case skew over communicating pairs (A5's sigma).
 
-    Evaluates through the model's batched kernel (O(1)-LCA pair metrics
-    plus array arithmetic); results match the scalar per-pair path
-    exactly, as the property tests and ``benchmarks/perf`` enforce.
+    Evaluates through the model's batched kernel (binary-lifting LCA pair
+    metrics plus array arithmetic); results match the scalar per-pair
+    path exactly, as the property tests and the perf gate enforce.
     """
     pairs = _as_pair_list(pairs)
     if not pairs:

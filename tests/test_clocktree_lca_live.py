@@ -3,8 +3,8 @@ in-place edge retunes.
 
 The index shares the tree's :class:`DenseTreeStore` and extends its
 binary-lifting table lazily — ``add_child`` and ``set_edge_length`` must
-never force a rebuild, and every query must agree with the snapshot
-:class:`EulerTourIndex` oracle over the same tree.
+never force a rebuild, and every query must agree bit-for-bit with the
+scalar tree walk (``ClockTree.lca``/``path_difference``/``path_length``).
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.clocktree.lca import EulerTourIndex, LiftingLCAIndex
+from repro.clocktree.lca import LiftingLCAIndex
 from repro.clocktree.tree import ClockTree
 from repro.geometry.point import Point
 
@@ -35,27 +35,27 @@ def random_tree(seed, n=60):
     return tree, nodes
 
 
-def euler_oracle(tree):
-    return EulerTourIndex(
-        tree.nodes()[0],
-        tree.children_map(),
-        {node: tree.root_distance(node) for node in tree.nodes()},
-    )
+def scalar_oracle(tree, pairs):
+    """``(d, s)`` from the scalar tree walk, as float64 arrays."""
+    d = np.array([tree.path_difference(a, b) for a, b in pairs], dtype=np.float64)
+    s = np.array([tree.path_length(a, b) for a, b in pairs], dtype=np.float64)
+    return d, s
 
 
 def sample_pairs(rng, nodes, k=40):
     return [(rng.choice(nodes), rng.choice(nodes)) for _ in range(k)]
 
 
-def test_path_metrics_agree_with_euler_oracle():
+def test_path_metrics_agree_with_scalar_oracle():
     tree, nodes = random_tree(1)
     rng = random.Random(11)
     pairs = sample_pairs(rng, nodes)
     live = tree.lca_index()
     d1, s1 = live.path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = scalar_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
+    assert tree.lca_batch(pairs) == [tree.lca(a, b) for a, b in pairs]
 
 
 def test_index_extends_incrementally_across_growth():
@@ -75,7 +75,7 @@ def test_index_extends_incrementally_across_growth():
         assert tree.lca_index() is live
         pairs = sample_pairs(rng, nodes)
         d1, s1 = live.path_metrics(pairs)
-        d2, s2 = euler_oracle(tree).path_metrics(pairs)
+        d2, s2 = scalar_oracle(tree, pairs)
         assert d1.tobytes() == d2.tobytes()
         assert s1.tobytes() == s2.tobytes()
 
@@ -134,7 +134,7 @@ def test_set_edge_length_shifts_subtree_and_metrics():
     rng = random.Random(9)
     pairs = sample_pairs(rng, nodes)
     d1, s1 = tree.lca_index().path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = scalar_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
 
@@ -168,13 +168,13 @@ def test_from_arrays_builder_matches_store_backed_index():
 
 
 def test_cold_build_is_vectorized_equivalent():
-    """The perf row's correctness half: a fresh LiftingLCAIndex over the
-    dense store answers exactly like the Euler-tour snapshot."""
+    """The cold perf row's correctness half: a fresh LiftingLCAIndex over
+    the dense store answers exactly like the scalar tree walk."""
     tree, nodes = random_tree(14, n=200)
     rng = random.Random(15)
     pairs = sample_pairs(rng, nodes, k=120)
     fresh = LiftingLCAIndex(tree.dense_store)
     d1, s1 = fresh.path_metrics(pairs)
-    d2, s2 = euler_oracle(tree).path_metrics(pairs)
+    d2, s2 = scalar_oracle(tree, pairs)
     assert d1.tobytes() == d2.tobytes()
     assert s1.tobytes() == s2.tobytes()
