@@ -65,7 +65,7 @@ from repro.core.models import (
 from repro.graphs.csr import csr_from_comm, grid_csr
 from repro.obs.schema import validate_benchmark_result
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.sim.compiled import CompiledTimingKernel
+from repro.sim.compiled import CompiledTimingKernel, TimingResult
 
 # repro.sta imports are deferred into the bench functions below:
 # repro/__init__ imports this package before __version__ exists, and
@@ -818,6 +818,11 @@ def bench_montecarlo(
     )
 
 
+#: Edges per block for the scale rows' streamed timing: bounds each
+#: block's (edges x ticks) scan matrices at a few MB.
+SCALE_EDGE_BLOCK = 65_536
+
+
 def _scale_offsets(n_cells: int, period: float) -> np.ndarray:
     """Deterministic offsets for the scale rows: a bounded gradient (no
     violations on its own — ``96 * 0.002 + lag/period`` stays inside one
@@ -833,7 +838,6 @@ def _scale_offsets(n_cells: int, period: float) -> np.ndarray:
 def bench_scale_timing(
     side: int,
     ticks: int = 4,
-    edge_block: int = 65_536,
     repeats: int = 1,
     measure_mem: bool = False,
     include_scalar: Optional[bool] = None,
@@ -848,7 +852,7 @@ def bench_scale_timing(
       compared exactly; only at sides where the object graph is
       feasible);
     * ``clocked_timing_blocked`` — monolithic tick-matrix timing vs the
-      chunked evaluation (``edge_block`` edges per block); violations,
+      chunked evaluation (:data:`SCALE_EDGE_BLOCK` edges per block); violations,
       order, and makespan must match bit for bit, at every side;
     * ``clocked_timing`` — the per-event scalar oracle vs the streamed
       kernel, at the largest co-runnable size (the differential row the
@@ -887,8 +891,12 @@ def bench_scale_timing(
         grid = grid_csr(side, side)
 
     kernel = CompiledTimingKernel(grid, offsets, period=period, lag=lag)
+
+    def streamed() -> TimingResult:
+        return kernel.timing(ticks, edge_block=SCALE_EDGE_BLOCK)
+
     mono = kernel.timing(ticks)
-    blocked = kernel.timing(ticks, edge_block=edge_block)
+    blocked = streamed()
     blocked_diff = (
         0.0
         if (
@@ -901,7 +909,7 @@ def bench_scale_timing(
     results.append(_timed(
         "clocked_timing_blocked", n, kernel.n_edges,
         lambda: kernel.timing(ticks),
-        lambda: kernel.timing(ticks, edge_block=edge_block),
+        streamed,
         blocked_diff, repeats, measure_mem,
     ))
 
@@ -922,12 +930,10 @@ def bench_scale_timing(
             _with_mem(
                 KernelTiming(
                     "clocked_timing", n, kernel.n_edges, scalar_s,
-                    _best_time(
-                        lambda: kernel.timing(ticks, edge_block=edge_block), repeats
-                    ),
+                    _best_time(streamed, repeats),
                     scalar_diff,
                 ),
-                lambda: kernel.timing(ticks, edge_block=edge_block),
+                streamed,
                 measure_mem,
             )
         )
@@ -943,7 +949,6 @@ def run_perf_suite(
     include_montecarlo: bool = True,
     scale_sides: Sequence[int] = (),
     scale_ticks: int = 4,
-    edge_block: int = 65_536,
     measure_mem: bool = False,
 ) -> List[KernelTiming]:
     """The full microbenchmark suite across array sizes.
@@ -972,12 +977,7 @@ def run_perf_suite(
         results.append(bench_montecarlo_cached(trials=trials, measure_mem=measure_mem))
     for side in scale_sides:
         results.extend(
-            bench_scale_timing(
-                side,
-                ticks=scale_ticks,
-                edge_block=edge_block,
-                measure_mem=measure_mem,
-            )
+            bench_scale_timing(side, ticks=scale_ticks, measure_mem=measure_mem)
         )
     if tracer.enabled:
         for i, r in enumerate(results):

@@ -8,9 +8,10 @@ These checks make that claim a named, diagnosable failure:
 * ``differential-chunked-timing`` — :class:`~repro.sim.compiled.CompiledTimingKernel`
   timing over several grid shapes and block sizes must equal the
   monolithic evaluation and the per-event scalar oracle exactly
-  (violation list, order, makespan); the clocked simulator's
-  ``run(edge_block=...)`` must equal its monolithic ``run`` on a real
-  workload.
+  (violation list, order, makespan); on a real workload, one clean and
+  one violating clocked run must equal ``run_scalar``, and the
+  simulator's own timing kernel streamed at several block sizes must
+  reproduce that run's violations and makespan.
 * ``differential-shared-arena`` — a compiled sampler round-tripped
   through a :class:`~repro.analysis.shared.SharedTrialArena` must
   reproduce the serial ``run_trials`` summary bit-for-bit under thread
@@ -107,23 +108,35 @@ def check_chunked_timing(ctx: CheckContext) -> Dict[str, Any]:
     cells = program.array.comm.nodes()
     probe = ClockSchedule.from_buffered_tree(buffered, 1.0, cells)
     plan = plan_safe_clocking(program.array, probe, delta=1.0)
-    for factor in (1.05, 0.5):  # one clean run, one with violations
-        period = plan.min_safe_period * factor + 1e-6
-        schedule = ClockSchedule.from_buffered_tree(buffered, period, cells)
+    # Padding makes the pipelined array safe at any period, so the same
+    # schedule without it gives the violating run.
+    period = plan.min_safe_period * 1.05 + 1e-6
+    schedule = ClockSchedule.from_buffered_tree(buffered, period, cells)
+    for padding in (plan.padding, None):  # one clean run, one with violations
         sim = ClockedArraySimulator(
-            program, schedule, delta=1.0, edge_padding=plan.padding
+            program, schedule, delta=1.0, edge_padding=padding
         )
-        kernel = sim.compiled()
-        whole = kernel.run()
+        whole = sim.run()
+        scalar = sim.run_scalar()
+        require(
+            whole.result == scalar.result
+            and whole.violations == scalar.violations
+            and whole.makespan == scalar.makespan
+            and bool(whole.violations) == (padding is None),
+            f"clocked run diverged from run_scalar (padded: {padding is not None})",
+            padded=padding is not None, violations=len(whole.violations),
+            scalar_violations=len(scalar.violations),
+        )
+        kernel = sim.compiled().timing_kernel
         for block in (1, 5, 64):
-            streamed = kernel.run(edge_block=block)
+            streamed = kernel.timing(whole.ticks, edge_block=block)
             require(
-                streamed.result == whole.result
-                and streamed.violations == whole.violations
+                streamed.violations == whole.violations
                 and streamed.makespan == whole.makespan
                 and streamed.ticks == whole.ticks,
-                f"clocked run(edge_block={block}) diverged at period factor {factor}",
-                edge_block=block, period_factor=factor,
+                f"clocked timing(edge_block={block}) diverged from run() "
+                f"(padded: {padding is not None})",
+                edge_block=block, padded=padding is not None,
                 violations=len(whole.violations),
             )
             cases += 1

@@ -170,6 +170,8 @@ def cmd_lower_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_inverter(args: argparse.Namespace) -> int:
+    if args.chips < 1:
+        raise ValueError(f"--chips must be >= 1, got {args.chips}")
     print(f"inverter string, n={args.stages}, {args.chips} chips:")
     tracer = args.tracer
     metrics = args.metrics_registry
@@ -245,7 +247,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tracer=args.tracer,
         include_montecarlo=not args.no_montecarlo,
         scale_sides=scale_sides,
-        edge_block=args.edge_block,
         measure_mem=args.mem,
     )
     wall_s = time.perf_counter() - t0
@@ -855,10 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale-sides", default="", metavar="SIDES",
         help="comma-separated grid sides for the large-scale timing rows "
         "(e.g. 256,1024 for 65,536- and 1,048,576-cell grids)",
-    )
-    p.add_argument(
-        "--edge-block", type=int, default=65_536,
-        help="edges per block for the chunked tick-matrix evaluation",
     )
     p.add_argument(
         "--mem", action="store_true",

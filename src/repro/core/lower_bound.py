@@ -110,8 +110,8 @@ def lower_bound_value(
     """
     if n < 2:
         raise ValueError("mesh lower bound needs n >= 2")
-    if beta <= 0:
-        raise ValueError("beta must be positive (A11)")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive (A11)")
     circle = beta * max(0.0, math.sqrt(circle_fraction / math.pi) * n - 1.0)
     slack = 1.0 - separator_fraction - circle_fraction
     if slack <= 0:
@@ -134,8 +134,8 @@ def prove_skew_lower_bound(
     for non-4-neighbor graphs (hex, torus) pass a larger
     ``capacity_per_radius`` reflecting their edge density.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive (A11)")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive (A11)")
     cells: Set[NodeId] = set(array.comm.nodes())
     for cell in cells:
         if cell not in tree:

@@ -20,6 +20,7 @@ the alternative for sensitivity checks).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Optional, Tuple
 
@@ -40,8 +41,10 @@ class ClockParameters:
     tau: float
 
     def __post_init__(self) -> None:
-        if self.sigma < 0 or self.delta < 0 or self.tau < 0:
-            raise ValueError("clock parameters must be non-negative")
+        if not all(
+            math.isfinite(x) and x >= 0 for x in (self.sigma, self.delta, self.tau)
+        ):
+            raise ValueError("clock parameters must be finite and non-negative")
 
     @property
     def period(self) -> float:

@@ -153,8 +153,8 @@ def fig3a_counterexample_sweep(
 def theorem6_bound(bisection_width: float, beta: float, capacity_per_radius: float = 8.0) -> float:
     """Theorem 6: ``sigma = Omega(W(N))`` — the concrete constant from the
     bisection branch of the proof: ``beta * W / capacity``."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive")
     if bisection_width < 0:
         raise ValueError("bisection width must be non-negative")
     return beta * bisection_width / capacity_per_radius

@@ -39,8 +39,10 @@ class CSRAdjacency:
     """Predecessor adjacency in CSR form over dense cell ids.
 
     ``indices[indptr[i]:indptr[i + 1]]`` are the predecessors of cell
-    ``i``, sorted ascending.  ``nodes`` optionally carries the original
-    cell ids in dense order (``None`` when cells *are* ``0..n-1``).
+    ``i``, sorted ascending by this module's builders (the clocked
+    program kernel keeps its captured order instead).  ``nodes``
+    optionally carries the original cell ids in dense order (``None``
+    when cells *are* ``0..n-1``).
     """
 
     indptr: np.ndarray

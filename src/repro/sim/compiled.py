@@ -19,14 +19,17 @@ meshes, Monte-Carlo sweeps, the scaling benches) repeat those runs over a
 Every kernel is an *exact* replacement, not an approximation: the same
 float64 operations in the same order as the scalar reference, so payloads,
 makespans, and violation lists are byte-identical.  The scalar paths stay
-in the tree as the oracle (``run_scalar``, ``recurrence_makespan_scalar``)
-and the differential/property suites assert the agreement.
+in the tree as the oracle (``run_scalar``, ``timing_scalar``,
+``recurrence_makespan_scalar``) and the differential/property suites
+assert the agreement.
 
-Functional payload execution of a *clean* clocked run additionally
-delegates to the stream evaluator in :mod:`repro.sim.batch` (lockstep
-semantics factor per cell); dirty runs and programs outside the stream
-algebra replay events in exact scalar order using the precomputed latch
-matrix.
+Clocked timing has one implementation, :class:`CompiledTimingKernel`
+(one latch scan, one violation order, monolithic or streamed per edge
+block).  :class:`CompiledClockedKernel` runs on one and adds only the
+functional half: a clean run stream-executes through
+:mod:`repro.sim.batch`; dirty runs and programs outside the stream
+algebra replay events in exact scalar order from the scan's latch
+generations.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     Hashable,
     List,
@@ -50,6 +54,7 @@ import numpy as np
 from repro.arrays.systolic import SystolicProgram
 from repro.graphs.comm import CommGraph
 from repro.graphs.csr import CSRAdjacency
+from repro.obs.spans import SpanTracer
 from repro.sim import batch
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import (
@@ -95,20 +100,38 @@ def _order_violation_entries(
     The scalar event loop visits events sorted by (time, tick, cell
     insertion index) and, within an event, predecessors in captured slot
     order.  Since (time, tick, cell) uniquely identifies an event, a
-    direct lexsort on (t, k, dst, slot) reproduces the rank-based
-    ordering of the monolithic path without materializing a global event
-    rank — which is what lets violation extraction stream per edge
-    block."""
+    direct lexsort on (t, k, dst, slot) reproduces that order without
+    materializing a global event rank — which is what lets violation
+    extraction stream per edge block."""
     return np.lexsort((slot[e_idx], dst[e_idx], k_idx, t_vals))
+
+
+def _violation_entries(
+    lo: int, t_latch: np.ndarray, g: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Violating entries of a latch block whose first edge is ``lo``:
+    (edge, tick, latch time, latched generation) arrays."""
+    expected = np.arange(g.shape[1], dtype=np.int64) - 1
+    mask = g != expected[None, :]
+    # Tick 0 expects -1; a latch of -1 (or below) is not a violation
+    # there (both sides pre-first-tick), matching the scalar guard.
+    mask[:, 0] &= g[:, 0] >= 0
+    e_off, k_idx = np.nonzero(mask)
+    return e_off + lo, k_idx, t_latch[e_off, k_idx], g[e_off, k_idx]
 
 
 class CompiledClockedKernel:
     """A :class:`~repro.sim.clocked.ClockedArraySimulator` lowered to
     arrays: compile once, run many times.
 
-    ``edge_delay`` is the simulator's per-directed-edge data propagation
-    delay (wire model plus hold padding), so the kernel and the scalar
-    path consume the *same* precomputed lags.
+    The timing half is :attr:`timing_kernel`, a
+    :class:`CompiledTimingKernel` over the receiver-grouped edges
+    (predecessors in captured slot order, cell labels attached), so the
+    clocked simulator and the large-N timing analysis share one latch
+    scan and one violation order.  ``edge_delay`` is the simulator's
+    per-directed-edge data propagation delay (wire model plus hold
+    padding), so the kernel and the scalar path consume the *same*
+    precomputed lags.
     """
 
     def __init__(
@@ -120,7 +143,6 @@ class CompiledClockedKernel:
     ) -> None:
         comm: CommGraph = program.array.comm
         self._program = program
-        self._schedule = schedule
         self.comm_version = comm.version
         cells = comm.nodes()
         self._cells: List[CellId] = cells
@@ -134,338 +156,122 @@ class CompiledClockedKernel:
         self._succs: Dict[CellId, Tuple[CellId, ...]] = {
             c: tuple(comm.successors(c)) for c in cells
         }
+        indptr: List[int] = [0]
         src_ids: List[int] = []
-        dst_ids: List[int] = []
         lags: List[float] = []
-        slots: List[int] = []
         edge_id: Dict[EdgeKey, int] = {}
         for c in cells:
-            for j, u in enumerate(self._preds[c]):
+            for u in self._preds[c]:
                 edge_id[(u, c)] = len(src_ids)
                 src_ids.append(index[u])
-                dst_ids.append(index[c])
                 lags.append(delta + edge_delay[(u, c)])
-                slots.append(j)
-        self._src = np.asarray(src_ids, dtype=np.int64)
-        self._dst = np.asarray(dst_ids, dtype=np.int64)
-        self._lag = np.asarray(lags, dtype=np.float64)
-        self._slot = np.asarray(slots, dtype=np.int64)
+            indptr.append(len(src_ids))
         self._edge_id = edge_id
-        self._offsets = np.asarray(
-            [schedule.offset(c) for c in cells], dtype=np.float64
+        # Rows keep the captured predecessor order (the violation
+        # tie-break).  A plain ClockSchedule is affine; subclasses such as
+        # JitteredSchedule override tick_time and are tabulated.
+        self.timing_kernel = CompiledTimingKernel(
+            CSRAdjacency(
+                indptr=np.asarray(indptr, dtype=np.int64),
+                indices=np.asarray(src_ids, dtype=np.int64),
+                nodes=cells,
+            ),
+            [schedule.offset(c) for c in cells],
+            schedule.period,
+            lag=np.asarray(lags, dtype=np.float64),
+            tick_time=(
+                None if type(schedule) is ClockSchedule else schedule.tick_time
+            ),
         )
-        self._period = schedule.period
-        # A plain ClockSchedule is affine (offset + k * period); subclasses
-        # such as JitteredSchedule override tick_time and take the generic
-        # tabulated path.
-        self._affine = type(schedule) is ClockSchedule
         # Stream-execution plan for clean runs (None = not yet probed;
         # False = unsupported, always replay).
         self._stream_order: Any = None
 
-    # ------------------------------------------------------------------
-    # timing analysis
-    # ------------------------------------------------------------------
-    def _tick_matrix(self, n_ticks: int) -> np.ndarray:
-        """``T[c, k]`` = absolute time of tick ``k`` at cell ``c``, with
-        exactly the scalar arithmetic (``offset + k * period`` per
-        element for affine schedules; ``tick_time`` calls otherwise)."""
-        n_cells = len(self._cells)
-        if self._affine:
-            ks = np.arange(n_ticks, dtype=np.float64) * self._period
-            return self._offsets[:, None] + ks[None, :]
-        tick_time = self._schedule.tick_time
-        T = np.empty((n_cells, n_ticks), dtype=np.float64)
-        for i, c in enumerate(self._cells):
-            row = T[i]
-            for k in range(n_ticks):
-                row[k] = tick_time(c, k)
-        return T
+    def run(
+        self, ticks: Optional[int] = None, tracer: Optional[Any] = None
+    ) -> ClockedRunResult:
+        """Byte-identical to the scalar ``ClockedArraySimulator.run``:
+        same result payload, same violation list (contents *and* order),
+        same makespan.
 
-    def latch_matrix(
-        self, n_ticks: int, T: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(T, g)``: the tick-time matrix and, per (edge, receiver tick),
-        the latched sender generation — the vectorized
-        ``_latched_sender_tick`` (identical floor estimate, identical
-        downward scan with the same tolerance).  Pass a precomputed ``T``
-        (from :meth:`_tick_matrix`) to skip rebuilding it."""
-        if T is None:
-            T = self._tick_matrix(n_ticks)
-        if not len(self._src):
-            return T, np.empty((0, n_ticks), dtype=np.int64)
-        t_latch = T[self._dst]                      # (E, K)
-        off_u = self._offsets[self._src][:, None]
-        lag = self._lag[:, None]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3           # covers ~1.5 periods of jitter
-        thresh = t_latch + _LATCH_TOL
-        if self._affine:
-            while True:
-                late = (g >= 0) & (off_u + g * self._period + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        else:
-            k_max = max(int(g.max(initial=0)), n_ticks - 1)
-            Tall = self._tick_matrix(k_max + 1)
-            src_col = self._src[:, None]
-            while True:
-                jj = np.maximum(g, 0)
-                late = (g >= 0) & (Tall[src_col, jj] + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        return T, g
-
-    def _latch_block(
-        self,
-        lo: int,
-        hi: int,
-        n_ticks: int,
-        ks_time: Optional[np.ndarray] = None,
-        T: Optional[np.ndarray] = None,
-        Tall: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`latch_matrix` restricted to directed edges ``[lo, hi)``
-        — identical arithmetic on a slice, so streamed evaluation is
-        bit-identical to the monolithic matrix while touching only
-        O(block x ticks) memory.
-
-        Affine schedules pass ``ks_time`` (``arange(K) * period``); the
-        per-entry latch time ``offsets[dst] + ks_time[k]`` is then the
-        same float64 add that built ``T`` monolithically.  Non-affine
-        schedules pass the full ``T`` plus an oversized ``Tall`` covering
-        every reachable generation (the caller bounds it once)."""
-        dst = self._dst[lo:hi]
-        src = self._src[lo:hi]
-        lag = self._lag[lo:hi][:, None]
-        off_u = self._offsets[src][:, None]
-        if self._affine:
-            assert ks_time is not None
-            t_latch = self._offsets[dst][:, None] + ks_time[None, :]
-        else:
-            assert T is not None
-            t_latch = T[dst]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3
-        thresh = t_latch + _LATCH_TOL
-        if self._affine:
-            while True:
-                late = (g >= 0) & (off_u + g * self._period + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        else:
-            assert Tall is not None
-            src_col = src[:, None]
-            while True:
-                jj = np.maximum(g, 0)
-                late = (g >= 0) & (Tall[src_col, jj] + lag > thresh)
-                if not late.any():
-                    break
-                g -= late
-        return t_latch, g
-
-    def _violation_entries(
-        self,
-        n_ticks: int,
-        edge_block: int,
-        ks_time: Optional[np.ndarray] = None,
-        T: Optional[np.ndarray] = None,
-        Tall: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Stream the latch scan per edge block, keeping only violating
-        (edge, tick, latch time, generation) entries — the full
-        ``(E, K)`` matrices never exist at once."""
-        expected = np.arange(n_ticks, dtype=np.int64) - 1
-        es: List[np.ndarray] = []
-        kss: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        gs: List[np.ndarray] = []
-        n_edges = len(self._src)
-        for lo in range(0, n_edges, edge_block):
-            hi = min(lo + edge_block, n_edges)
-            t_latch, g = self._latch_block(
-                lo, hi, n_ticks, ks_time=ks_time, T=T, Tall=Tall
-            )
-            mask = g != expected[None, :]
-            mask[:, 0] &= g[:, 0] >= 0
-            if mask.any():
-                e_off, k_idx = np.nonzero(mask)
-                es.append(e_off + lo)
-                kss.append(k_idx)
-                ts.append(t_latch[e_off, k_idx])
-                gs.append(g[e_off, k_idx])
-        if not es:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0, dtype=np.float64), empty
-        return (
-            np.concatenate(es),
-            np.concatenate(kss),
-            np.concatenate(ts),
-            np.concatenate(gs),
-        )
-
-    def _materialize_violations(
-        self,
-        e_idx: np.ndarray,
-        k_idx: np.ndarray,
-        g_vals: np.ndarray,
-        perm: np.ndarray,
-    ) -> List[TimingViolation]:
-        cells = self._cells
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = int(e_idx[j])
-            k = int(k_idx[j])
-            out.append(
-                TimingViolation(
-                    edge=(cells[src[e]], cells[dst[e]]),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g_vals[j]),
-                )
-            )
-        return out
-
-    def timing(
-        self, ticks: Optional[int] = None, edge_block: Optional[int] = None
-    ) -> TimingResult:
-        """Violations + makespan without payload execution.
-
-        With ``edge_block=None`` this is the monolithic
-        :meth:`latch_matrix` / :meth:`violations` pair.  With an
-        ``edge_block``, the latch scan streams over edge blocks of that
-        size: peak memory is O(block x ticks) instead of O(edges x
-        ticks), and the result — violation list contents, order, and
-        makespan — is bit-identical (the property suite drives this
-        across random block sizes).
+        One latch scan per run: its generations yield the violation list
+        and, for a dirty run, drive the event replay.  An enabled
+        ``tracer`` adds per-phase spans (tick-matrix, latch scan,
+        violation extraction, execute) around the same arithmetic; a
+        disabled one makes every span a no-op.
         """
         n_ticks = ticks if ticks is not None else self._program.cycles
         if n_ticks < 1:
             raise ValueError("need at least one tick")
-        if edge_block is not None and edge_block < 1:
-            raise ValueError("edge_block must be positive")
-        if edge_block is None:
-            T, g = self.latch_matrix(n_ticks)
-            makespan = max(0.0, float(T.max())) if T.size else 0.0
-            return TimingResult(
-                violations=self.violations(T, g, n_ticks),
-                makespan=makespan,
-                ticks=n_ticks,
-            )
-        ks_time: Optional[np.ndarray] = None
-        T = None
-        Tall = None
-        if self._affine:
-            ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
-            # max over {offsets[c] + ks[k]} is attained at the argmax of
-            # each term and computed by the same float64 add, so the
-            # closed form equals float(T.max()) bit for bit.
-            makespan = (
-                max(0.0, float(self._offsets.max() + ks_time[-1]))
-                if len(self._cells)
-                else 0.0
-            )
-        else:
-            T = self._tick_matrix(n_ticks)
-            makespan = max(0.0, float(T.max())) if T.size else 0.0
-            if len(self._src):
-                # One generation bound for every block: the initial floor
-                # estimate is maximized by the latest latch and the
-                # smallest (sender offset + lag).  Tall entries at equal
-                # (cell, k) are identical whatever the matrix size.
-                head = (self._offsets[self._src] + self._lag).min()
-                bound = int(np.floor((T.max() - head) / self._period)) + 3
-                Tall = self._tick_matrix(max(bound, n_ticks - 1) + 1)
-        e_idx, k_idx, t_vals, g_vals = self._violation_entries(
-            n_ticks, edge_block, ks_time=ks_time, T=T, Tall=Tall
-        )
-        perm = _order_violation_entries(
-            self._slot, self._dst, e_idx, k_idx, t_vals
-        )
-        return TimingResult(
-            violations=self._materialize_violations(e_idx, k_idx, g_vals, perm),
-            makespan=makespan,
+        spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
+        kernel = self.timing_kernel
+        pes = self._program.pes
+        for pe in pes.values():
+            pe.reset()
+        with spans.span("compiled.run", ticks=n_ticks, cells=len(self._cells)):
+            with spans.span("compiled.tick_matrix"):
+                T = kernel.tick_matrix(n_ticks)
+            with spans.span("compiled.latch_scan"):
+                t_latch, g = kernel.latch_scan(T)
+            with spans.span("compiled.violations") as h:
+                violations = kernel.violations(t_latch, g)
+                h.annotate(count=len(violations))
+            with spans.span("compiled.execute"):
+                result = self._execute(pes, T, g, n_ticks, not violations)
+        return ClockedRunResult(
+            result=result,
+            violations=violations,
             ticks=n_ticks,
+            makespan=kernel.makespan(n_ticks, T),
         )
-
-    def _event_order(self, T: np.ndarray, n_ticks: int) -> np.ndarray:
-        """Flat (cell * K + tick) event indices sorted exactly like the
-        scalar event list: by time, then tick, then cell position."""
-        n_cells = len(self._cells)
-        k_flat = np.tile(np.arange(n_ticks, dtype=np.int64), n_cells)
-        i_flat = np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks)
-        return np.lexsort((i_flat, k_flat, T.ravel()))
-
-    def violations(
-        self, T: np.ndarray, g: np.ndarray, n_ticks: int
-    ) -> List[TimingViolation]:
-        """The violation list in exact scalar order: event order (time,
-        tick, cell) outermost, captured predecessor order within a cell."""
-        if not g.size:
-            return []
-        ks = np.arange(n_ticks, dtype=np.int64)
-        expected = ks - 1
-        mask = g != expected[None, :]
-        # Tick 0 expects -1; a latch of -1 (or below) is not a violation
-        # there (both sides pre-first-tick), matching the scalar guard.
-        mask[:, 0] &= g[:, 0] >= 0
-        if not mask.any():
-            return []
-        order = self._event_order(T, n_ticks)
-        rank = np.empty(order.shape, dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        e_idx, k_idx = np.nonzero(mask)
-        event_rank = rank[self._dst[e_idx] * n_ticks + k_idx]
-        perm = np.lexsort((self._slot[e_idx], event_rank))
-        cells = self._cells
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = e_idx[j]
-            k = int(k_idx[j])
-            out.append(
-                TimingViolation(
-                    edge=(cells[src[e]], cells[dst[e]]),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g[e, k]),
-                )
-            )
-        return out
 
     # ------------------------------------------------------------------
     # functional execution
     # ------------------------------------------------------------------
-    def _try_stream_order(self) -> Any:
-        if self._stream_order is None:
-            pes = self._program.pes
+    def _execute(
+        self,
+        pes: Mapping[CellId, Any],
+        T: np.ndarray,
+        g: np.ndarray,
+        n_ticks: int,
+        clean: bool,
+    ) -> Any:
+        """The functional half of :meth:`run`: stream-execute a clean run
+        when the stream evaluator can express the program (probed once),
+        otherwise replay it with the scan's latch generations ``g``."""
+        if clean and self._stream_order is not False:
             try:
-                if not batch.supports(pes, self._cells):
-                    raise batch.BatchUnsupported("unhandled PE class")
-                self._stream_order = batch.topological_order(
-                    self._program.array.comm
+                if self._stream_order is None:
+                    if not batch.supports(pes, self._cells):
+                        raise batch.BatchUnsupported("unhandled PE class")
+                    self._stream_order = batch.topological_order(
+                        self._program.array.comm
+                    )
+                batch.execute_streams(
+                    pes, self._stream_order, self._preds, self._succs, n_ticks
                 )
+                return self._program.read_result(_ExecutorFacade(pes))
             except batch.BatchUnsupported:
                 self._stream_order = False
-        return self._stream_order
+                for pe in pes.values():
+                    pe.reset()  # discard any partial stream state
+        return self._replay(T, g, n_ticks)
 
     def _replay(self, T: np.ndarray, g: np.ndarray, n_ticks: int) -> Any:
-        """Event-order functional replay using the precomputed latch
-        matrix — exact scalar semantics for dirty runs and programs the
-        stream evaluator cannot express."""
+        """Event-order functional replay using the latch generations —
+        exact scalar semantics for dirty runs and programs the stream
+        evaluator cannot express.  Events go in scalar order: by time,
+        then tick, then cell position."""
         pes = self._program.pes
         cells = self._cells
-        order = self._event_order(T, n_ticks)
+        n_cells = len(cells)
+        k_flat = np.tile(np.arange(n_ticks, dtype=np.int64), n_cells)
+        i_flat = np.repeat(np.arange(n_cells, dtype=np.int64), n_ticks)
+        order = np.lexsort((i_flat, k_flat, T.ravel()))
         cell_seq = (order // n_ticks).tolist()
         tick_seq = (order % n_ticks).tolist()
         g_rows = g.tolist()
-        history: List[List[Any]] = [
-            [None] * n_ticks for _ in range(len(self._src))
-        ]
+        history: List[List[Any]] = [[None] * n_ticks for _ in range(len(g_rows))]
         edge_id = self._edge_id
         pred_info = [
             [(u, edge_id[(u, c)]) for u in self._preds[c]] for c in cells
@@ -484,141 +290,6 @@ class CompiledClockedKernel:
                 history[e][k] = outputs.get(v) if outputs else None
         return self._program.read_result(_ExecutorFacade(pes))
 
-    def _finish_streamed(self, pes: Mapping[CellId, Any], n_ticks: int) -> Any:
-        """Functional half of a streamed run: stream-execute when clean
-        runs allow it, otherwise fall back to the monolithic latch matrix
-        for the exact event replay (dirty runs need the full ``g``)."""
-        order = self._try_stream_order()
-        if order is not False:
-            try:
-                batch.execute_streams(
-                    pes, order, self._preds, self._succs, n_ticks
-                )
-                return self._program.read_result(_ExecutorFacade(pes))
-            except batch.BatchUnsupported:
-                self._stream_order = False
-                for pe in pes.values():
-                    pe.reset()  # discard any partial stream state
-        T, g = self.latch_matrix(n_ticks)
-        return self._replay(T, g, n_ticks)
-
-    def run(
-        self,
-        ticks: Optional[int] = None,
-        tracer: Optional[Any] = None,
-        edge_block: Optional[int] = None,
-    ) -> ClockedRunResult:
-        """Byte-identical to the scalar ``ClockedArraySimulator.run``:
-        same result payload, same violation list (contents *and* order),
-        same makespan.
-
-        An enabled ``tracer`` adds per-phase spans (tick-matrix, latch
-        scan, violation extraction, execute) around the same arithmetic;
-        the default path allocates nothing and is untouched.
-
-        ``edge_block`` streams the timing analysis per edge block (see
-        :meth:`timing`): same results, O(block x ticks) peak memory.
-        Dirty runs still build the full latch matrix for the replay.
-        """
-        n_ticks = ticks if ticks is not None else self._program.cycles
-        if n_ticks < 1:
-            raise ValueError("need at least one tick")
-        spans = None
-        if tracer is not None and tracer.enabled:
-            from repro.obs.spans import SpanTracer
-
-            spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
-        pes = self._program.pes
-        for pe in pes.values():
-            pe.reset()
-        if edge_block is not None:
-            if spans is None:
-                timing = self.timing(n_ticks, edge_block=edge_block)
-                if timing.clean:
-                    result = self._finish_streamed(pes, n_ticks)
-                else:
-                    T, g = self.latch_matrix(n_ticks)
-                    result = self._replay(T, g, n_ticks)
-            else:
-                with spans.span(
-                    "compiled.run",
-                    ticks=n_ticks,
-                    cells=len(self._cells),
-                    edge_block=edge_block,
-                ):
-                    with spans.span("compiled.timing_stream") as h:
-                        timing = self.timing(n_ticks, edge_block=edge_block)
-                        h.annotate(count=len(timing.violations))
-                    with spans.span("compiled.execute"):
-                        if timing.clean:
-                            result = self._finish_streamed(pes, n_ticks)
-                        else:
-                            T, g = self.latch_matrix(n_ticks)
-                            result = self._replay(T, g, n_ticks)
-            return ClockedRunResult(
-                result=result,
-                violations=timing.violations,
-                ticks=n_ticks,
-                makespan=timing.makespan,
-            )
-        if spans is None:
-            T, g = self.latch_matrix(n_ticks)
-            violations = self.violations(T, g, n_ticks)
-        else:
-            with spans.span("compiled.run", ticks=n_ticks, cells=len(self._cells)):
-                with spans.span("compiled.tick_matrix"):
-                    T = self._tick_matrix(n_ticks)
-                with spans.span("compiled.latch_scan"):
-                    T, g = self.latch_matrix(n_ticks, T=T)
-                with spans.span("compiled.violations") as h:
-                    violations = self.violations(T, g, n_ticks)
-                    h.annotate(count=len(violations))
-                with spans.span("compiled.execute"):
-                    result0, makespan0 = self._execute(pes, T, g, n_ticks, violations)
-            return ClockedRunResult(
-                result=result0,
-                violations=violations,
-                ticks=n_ticks,
-                makespan=makespan0,
-            )
-        result, makespan = self._execute(pes, T, g, n_ticks, violations)
-        return ClockedRunResult(
-            result=result,
-            violations=violations,
-            ticks=n_ticks,
-            makespan=makespan,
-        )
-
-    def _execute(
-        self,
-        pes: Mapping[CellId, Any],
-        T: np.ndarray,
-        g: np.ndarray,
-        n_ticks: int,
-        violations: List[TimingViolation],
-    ) -> Tuple[Any, float]:
-        """The functional half of :meth:`run`: stream-execute clean runs,
-        replay dirty ones; returns ``(result, makespan)``."""
-        makespan = max(0.0, float(T.max())) if T.size else 0.0
-        result: Any = None
-        ran = False
-        if not violations:
-            order = self._try_stream_order()
-            if order is not False:
-                try:
-                    batch.execute_streams(
-                        pes, order, self._preds, self._succs, n_ticks
-                    )
-                    result = self._program.read_result(_ExecutorFacade(pes))
-                    ran = True
-                except batch.BatchUnsupported:
-                    self._stream_order = False
-                    for pe in pes.values():
-                        pe.reset()  # discard any partial stream state
-        if not ran:
-            result = self._replay(T, g, n_ticks)
-        return result, makespan
-
 
 def compile_clocked(simulator: Any) -> CompiledClockedKernel:
     """Lower a :class:`~repro.sim.clocked.ClockedArraySimulator` into its
@@ -627,28 +298,27 @@ def compile_clocked(simulator: Any) -> CompiledClockedKernel:
 
 
 # ----------------------------------------------------------------------
-# array-only timing kernel (million-cell scale)
+# clocked timing kernel: the one latch scan
 # ----------------------------------------------------------------------
 class CompiledTimingKernel:
-    """Pure timing analysis straight from arrays — the large-N kernel.
+    """Clocked timing analysis straight from arrays.
 
-    :class:`CompiledClockedKernel` is lowered from a full
-    ``SystolicProgram`` (PEs, payload closures, hashable cell ids) and
-    pays a Python-speed walk of the object graph per compile.  At 10^6
-    cells that walk *is* the runtime, so this kernel skips the object
-    graph entirely: it is built from a
-    :class:`~repro.graphs.csr.CSRAdjacency` plus per-cell clock offsets
-    under an affine schedule (``offset + k * period``) and a per-edge
-    data-path lag.  Cells are the dense ints ``0..n-1``; reported
-    violation edges are ``(src, dst)`` int pairs.
+    Built from a :class:`~repro.graphs.csr.CSRAdjacency` (row order is
+    the predecessor order the violation list follows), per-cell clock
+    offsets, a period and a per-edge data-path lag — no object graph, so
+    it runs at 10^6 cells.  Tick ``k`` at cell ``c`` is ``offset + k *
+    period`` unless ``tick_time(cell, k)`` is given for a tabulated
+    schedule (e.g. :class:`~repro.sim.faults.JitteredSchedule`).
+    Violation edges are ``(src, dst)`` pairs of ``adjacency.nodes``
+    labels, or of dense ints ``0..n-1`` when it has none.
 
     The latch arithmetic is exactly the scalar simulator's
     (``_latched_sender_tick``: floor estimate, +3 guard, downward scan
     with the 1e-12 tolerance), evaluated monolithically or streamed per
     edge block (:meth:`timing`); :meth:`timing_scalar` is the per-event
-    Python oracle the differential suites compare against at
-    co-runnable sizes.  :meth:`arrays` / :meth:`from_arrays` round-trip
-    the kernel through raw numpy buffers so
+    Python oracle for affine kernels at co-runnable sizes.
+    :meth:`arrays` / :meth:`from_arrays` round-trip an affine,
+    unlabelled kernel through raw numpy buffers so
     :class:`~repro.analysis.shared.SharedArena` can ship it to worker
     processes without pickling.
     """
@@ -659,6 +329,7 @@ class CompiledTimingKernel:
         offsets: Any,
         period: float,
         lag: Any = 0.0,
+        tick_time: Optional[Callable[[CellId, int], float]] = None,
     ) -> None:
         offsets_arr = np.ascontiguousarray(np.asarray(offsets, dtype=np.float64))
         n = adjacency.n_cells
@@ -675,8 +346,7 @@ class CompiledTimingKernel:
         self._src = indices
         self._dst = np.repeat(np.arange(n, dtype=np.int64), counts)
         # Slot = position within the receiver's predecessor list (CSR
-        # row order), mirroring the captured-order tie-break of the
-        # program kernel.
+        # row order): the within-event tie-break of the violation order.
         self._slot = np.arange(len(indices), dtype=np.int64) - np.repeat(
             indptr[:-1], counts
         )
@@ -690,6 +360,10 @@ class CompiledTimingKernel:
         self._lag = np.ascontiguousarray(lag_arr)
         self._offsets = offsets_arr
         self._period = float(period)
+        self._cells: Sequence[Any] = (
+            adjacency.nodes if adjacency.nodes is not None else range(n)
+        )
+        self._tick_time = tick_time
 
     @property
     def n_cells(self) -> int:
@@ -699,88 +373,161 @@ class CompiledTimingKernel:
     def n_edges(self) -> int:
         return len(self._src)
 
-    def latch_block(
-        self, lo: int, hi: int, n_ticks: int, ks_time: Optional[np.ndarray] = None
+    def tick_matrix(self, n_ticks: int) -> np.ndarray:
+        """``T[c, k]`` = absolute time of tick ``k`` at cell ``c``, with
+        exactly the scalar arithmetic (``offset + k * period`` per
+        element when affine; ``tick_time`` calls otherwise)."""
+        if self._tick_time is None:
+            ks = np.arange(n_ticks, dtype=np.float64) * self._period
+            return self._offsets[:, None] + ks[None, :]
+        tick_time = self._tick_time
+        T = np.empty((len(self._cells), n_ticks), dtype=np.float64)
+        for row, c in zip(T, self._cells):
+            for k in range(n_ticks):
+                row[k] = tick_time(c, k)
+        return T
+
+    def makespan(self, n_ticks: int, T: Optional[np.ndarray] = None) -> float:
+        """The latest tick time, from ``T`` when given.  Affine kernels
+        need no matrix: the max over ``{offsets[c] + ks[k]}`` is attained
+        at the argmax of each term and computed by the same float64 add,
+        so the closed form equals ``float(T.max())`` bit for bit."""
+        if T is None and self._tick_time is not None:
+            T = self.tick_matrix(n_ticks)
+        if T is not None:
+            return max(0.0, float(T.max())) if T.size else 0.0
+        if not len(self._offsets):
+            return 0.0
+        last = np.float64(n_ticks - 1) * self._period
+        return max(0.0, float(self._offsets.max() + last))
+
+    def _sender_times(self, T: np.ndarray) -> Optional[np.ndarray]:
+        """Tabulated schedules only: tick times of every sender
+        generation the scan can reach.  Floor, division and subtraction
+        are monotone in the latch time, so each edge's largest starting
+        generation comes from its receiver's latest tick — one exact
+        bound for every block.  Entries at equal (cell, k) are identical
+        whatever the table size."""
+        if self._tick_time is None or not len(self._src):
+            return None
+        latest = T.max(axis=1)[self._dst]
+        start = np.floor(
+            (latest - self._offsets[self._src] - self._lag) / self._period
+        )
+        bound = int(start.max()) + 3
+        return self.tick_matrix(max(bound, T.shape[1] - 1) + 1)
+
+    def _latched_sender_tick(
+        self,
+        lo: int,
+        hi: int,
+        n_ticks: int,
+        T: Optional[np.ndarray],
+        Tall: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(t_latch, g)`` for directed edges ``[lo, hi)`` — the affine
-        latch scan of :meth:`CompiledClockedKernel.latch_matrix` on a
-        slice, identical float64 operations."""
-        if ks_time is None:
-            ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
+        """``(t_latch, g)`` for directed edges ``[lo, hi)``: per (edge,
+        receiver tick), the latch time and the latched sender
+        generation — the vectorized scalar ``_latched_sender_tick``.
+        Affine kernels evaluate latch and send times in closed form
+        (``T`` may be omitted); tabulated ones read the receiver's row of
+        ``T`` and the sender's row of ``Tall``."""
         dst = self._dst[lo:hi]
         src = self._src[lo:hi]
         lag = self._lag[lo:hi][:, None]
         off_u = self._offsets[src][:, None]
-        t_latch = self._offsets[dst][:, None] + ks_time[None, :]
+        if T is None:
+            ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
+            t_latch = self._offsets[dst][:, None] + ks_time[None, :]
+        else:
+            t_latch = T[dst]
         estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3
+        g = estimate.astype(np.int64) + 3           # covers ~1.5 periods of jitter
         thresh = t_latch + _LATCH_TOL
+        period = self._period
+        if Tall is None:
+            def sent(g: np.ndarray) -> np.ndarray:
+                return off_u + g * period
+        else:
+            src_col = src[:, None]
+
+            def sent(g: np.ndarray) -> np.ndarray:
+                return Tall[src_col, np.maximum(g, 0)]
         while True:
-            late = (g >= 0) & (off_u + g * self._period + lag > thresh)
+            late = (g >= 0) & (sent(g) + lag > thresh)
             if not late.any():
                 break
             g -= late
         return t_latch, g
+
+    def latch_scan(self, T: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Monolithic ``(t_latch, g)`` over every edge, against the full
+        tick matrix ``T`` from :meth:`tick_matrix`."""
+        n_ticks = T.shape[1]
+        return self._latched_sender_tick(
+            0, len(self._src), n_ticks, T, self._sender_times(T)
+        )
+
+    def violations(
+        self, t_latch: np.ndarray, g: np.ndarray
+    ) -> List[TimingViolation]:
+        """The violation list of a monolithic :meth:`latch_scan`, in
+        exact scalar order."""
+        return self._materialize([_violation_entries(0, t_latch, g)])
+
+    def _materialize(
+        self, entries: Sequence[Tuple[np.ndarray, ...]]
+    ) -> List[TimingViolation]:
+        """Order per-block violating entries (:func:`_violation_entries`)
+        and build the :class:`TimingViolation` list."""
+        e_idx, k_idx, t_vals, g_vals = (np.concatenate(col) for col in zip(*entries))
+        if not len(e_idx):
+            return []
+        perm = _order_violation_entries(self._slot, self._dst, e_idx, k_idx, t_vals)
+        e_idx = e_idx[perm]
+        cells = self._cells
+        return [
+            TimingViolation(
+                edge=(cells[u], cells[v]),
+                receiver_tick=k,
+                expected_sender_tick=k - 1,
+                actual_sender_tick=actual,
+            )
+            for u, v, k, actual in zip(
+                self._src[e_idx].tolist(),
+                self._dst[e_idx].tolist(),
+                k_idx[perm].tolist(),
+                g_vals[perm].tolist(),
+            )
+        ]
 
     def timing(
         self, n_ticks: int, edge_block: Optional[int] = None
     ) -> TimingResult:
         """The full violation set (exact scalar order) and makespan.
 
-        ``edge_block`` bounds peak memory at O(block x ticks); any block
-        size — including the default single monolithic block — yields a
-        bit-identical result."""
+        ``edge_block`` bounds peak memory at O(block x ticks) for affine
+        kernels; any block size — including the default single
+        monolithic block — yields a bit-identical result."""
         if n_ticks < 1:
             raise ValueError("need at least one tick")
         if edge_block is not None and edge_block < 1:
             raise ValueError("edge_block must be positive")
         n_edges = len(self._src)
         block = edge_block if edge_block is not None else max(n_edges, 1)
-        ks_time = np.arange(n_ticks, dtype=np.float64) * self._period
-        makespan = (
-            max(0.0, float(self._offsets.max() + ks_time[-1]))
-            if len(self._offsets)
-            else 0.0
-        )
-        expected = np.arange(n_ticks, dtype=np.int64) - 1
-        es: List[np.ndarray] = []
-        kss: List[np.ndarray] = []
-        ts: List[np.ndarray] = []
-        gs: List[np.ndarray] = []
-        for lo in range(0, n_edges, block):
+        T = Tall = None
+        if self._tick_time is not None:
+            T = self.tick_matrix(n_ticks)
+            Tall = self._sender_times(T)
+        entries = []
+        for lo in range(0, max(n_edges, 1), block):
             hi = min(lo + block, n_edges)
-            t_latch, g = self.latch_block(lo, hi, n_ticks, ks_time)
-            mask = g != expected[None, :]
-            mask[:, 0] &= g[:, 0] >= 0
-            if mask.any():
-                e_off, k_idx = np.nonzero(mask)
-                es.append(e_off + lo)
-                kss.append(k_idx)
-                ts.append(t_latch[e_off, k_idx])
-                gs.append(g[e_off, k_idx])
-        if not es:
-            return TimingResult(violations=[], makespan=makespan, ticks=n_ticks)
-        e_idx = np.concatenate(es)
-        k_idx_all = np.concatenate(kss)
-        t_vals = np.concatenate(ts)
-        g_vals = np.concatenate(gs)
-        perm = _order_violation_entries(
-            self._slot, self._dst, e_idx, k_idx_all, t_vals
+            t_latch, g = self._latched_sender_tick(lo, hi, n_ticks, T, Tall)
+            entries.append(_violation_entries(lo, t_latch, g))
+        return TimingResult(
+            violations=self._materialize(entries),
+            makespan=self.makespan(n_ticks, T),
+            ticks=n_ticks,
         )
-        src, dst = self._src, self._dst
-        out: List[TimingViolation] = []
-        for j in perm:
-            e = int(e_idx[j])
-            k = int(k_idx_all[j])
-            out.append(
-                TimingViolation(
-                    edge=(int(src[e]), int(dst[e])),
-                    receiver_tick=k,
-                    expected_sender_tick=k - 1,
-                    actual_sender_tick=int(g_vals[j]),
-                )
-            )
-        return TimingResult(violations=out, makespan=makespan, ticks=n_ticks)
 
     def timing_scalar(self, n_ticks: int) -> TimingResult:
         """Per-event Python reference: the scalar simulator's event loop

@@ -31,6 +31,15 @@ class TestReport:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_errors(self, capsys, command, delta):
+        code, _out, err = run_cli(capsys, command, "--delta", delta)
+        assert code == 2
+        assert err.strip().splitlines() == [
+            "error: clock parameters must be finite and non-negative"
+        ]
+
 
 class TestCompare:
     def test_linear_summation_ranks_spine_first(self, capsys):
@@ -86,6 +95,14 @@ class TestLowerBound:
         for scheme in ("htree", "serpentine", "kdtree"):
             assert scheme in out
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_errors(self, capsys, beta):
+        code, _out, err = run_cli(capsys, "lower-bound", "--beta", beta)
+        assert code == 2
+        assert err.strip().splitlines() == [
+            "error: beta must be finite and positive (A11)"
+        ]
+
 
 class TestInverter:
     def test_default_reproduces_68x(self, capsys):
@@ -97,6 +114,13 @@ class TestInverter:
         code, out, _ = run_cli(capsys, "inverter", "--stages", "256", "--chips", "2")
         assert code == 0
         assert "n=256" in out
+
+    @pytest.mark.parametrize("chips", ["0", "-2"])
+    def test_no_chips_errors(self, capsys, chips):
+        code, out, err = run_cli(capsys, "inverter", "--chips", chips)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: --chips must be >= 1, got {chips}"
 
 
 class TestHybridAndSchemes:

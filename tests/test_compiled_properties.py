@@ -8,7 +8,8 @@ every program/schedule pair, and the recurrence kernel must reproduce
 the scalar tandem recurrence exactly.  These tests sweep random
 programs, skewed/jittered schedules, and period regimes (from badly
 overdriven to comfortably safe) to exercise both the clean stream path
-and the violation replay path, plus the ``CompiledTrialContext``
+and the violation replay path, the simulator's timing kernel streamed
+at random edge-block sizes, plus the ``CompiledTrialContext``
 Monte-Carlo cache under serial and threaded execution.
 """
 
@@ -92,9 +93,9 @@ def clocked_cases(draw):
     return program, schedule, delta, padding
 
 
-@given(clocked_cases())
+@given(clocked_cases(), st.integers(1, 48))
 @settings(max_examples=60, deadline=None)
-def test_compiled_clocked_equals_scalar(case):
+def test_compiled_clocked_equals_scalar(case, edge_block):
     program, schedule, delta, padding = case
     sim = ClockedArraySimulator(
         program, schedule, delta=delta, edge_padding=padding
@@ -105,6 +106,13 @@ def test_compiled_clocked_equals_scalar(case):
     assert compiled.violations == scalar.violations
     assert compiled.ticks == scalar.ticks
     assert compiled.makespan == scalar.makespan
+    # The same timing streamed per edge block, on affine and jittered
+    # (tabulated) schedules alike.
+    streamed = sim.compiled().timing_kernel.timing(
+        scalar.ticks, edge_block=edge_block
+    )
+    assert streamed.violations == scalar.violations
+    assert streamed.makespan == scalar.makespan
 
 
 @given(random_programs(), st.data())

@@ -32,6 +32,8 @@ class TestLowerBoundValue:
         with pytest.raises(ValueError):
             lower_bound_value(8, 0)
         with pytest.raises(ValueError):
+            lower_bound_value(8, float("nan"))
+        with pytest.raises(ValueError):
             lower_bound_value(8, 0.1, separator_fraction=0.95)
 
 

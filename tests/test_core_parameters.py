@@ -36,6 +36,12 @@ class TestClockParameters:
         with pytest.raises(ValueError):
             ClockParameters(-1, 0, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        for args in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ValueError):
+                ClockParameters(*args)
+
     def test_clock_period_helper(self):
         assert clock_period(1, 2, 3) == 6
 

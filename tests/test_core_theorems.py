@@ -80,6 +80,8 @@ class TestTheorem6:
         with pytest.raises(ValueError):
             theorem6_bound(4, beta=0)
         with pytest.raises(ValueError):
+            theorem6_bound(4, beta=float("nan"))
+        with pytest.raises(ValueError):
             theorem6_bound(-1, beta=0.1)
 
     def test_sweep_mesh_grows_linear_flat(self):
