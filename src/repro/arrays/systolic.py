@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 from repro.arrays.cells import PE, Inputs, Outputs, RecordingSink, ScriptedSource
 from repro.arrays.ideal import LockstepExecutor
 from repro.arrays.model import ProcessorArray
@@ -253,6 +255,51 @@ class SorterCell(PE):
         if self.index < self.n - 1:
             out[self.index + 1] = self.value
         return out
+
+    @staticmethod
+    def fire_batch(cells: Sequence["SorterCell"], n_ticks: int) -> None:
+        """``n_ticks`` ticks of a whole sorter at once — exactly what
+        :meth:`fire` computes under a fresh :class:`LockstepExecutor`.
+
+        ``cells[i]`` must be the cell with ``index == i`` of an
+        ``n = len(cells)``-cell sorter wired as :func:`build_odd_even_sorter`
+        wires it, all at one common tick.  Tick-major: each tick
+        compare-exchanges every pair of that round's parity on one float64
+        array.  Python's ``min``/``max`` keep their first argument unless
+        the other is strictly smaller/larger, which ``np.where`` on one
+        ``<`` reproduces, so ties, ±0.0 and NaN stay bit-identical.  Every
+        cell is left in its post-run state.
+        """
+        n = len(cells)
+        if any(c.index != i or c.n != n for i, c in enumerate(cells)):
+            raise ValueError("cells[i] must be cell i of one n-cell sorter")
+        ticks = {c._tick for c in cells}
+        if len(ticks) > 1:
+            raise ValueError("sorter cells must share one tick")
+        if n_ticks < 0:
+            raise ValueError("tick count must be non-negative")
+        t0 = ticks.pop() if ticks else 0
+        value = np.array([c.value for c in cells], dtype=np.float64)
+        # Round r pairs cells (i, i + 1) with i = r (mod 2): the left cell
+        # keeps min(own, other), the right one max(own, other) — i.e. the
+        # pair exchanges exactly when right < left.
+        pairs = (
+            (slice(0, n - 1, 2), slice(1, n, 2)),
+            (slice(1, n - 1, 2), slice(2, n, 2)),
+        )
+        # A fresh run's first tick latches no inputs; tick t0 + j (j >= 1)
+        # runs round t0 + j - 1 on the values broadcast the tick before.
+        for r in range(t0, t0 + n_ticks - 1):
+            left, right = pairs[r % 2]
+            lo = value[left]
+            hi = value[right]
+            swap = hi < lo
+            new_lo = np.where(swap, hi, lo)
+            value[right] = np.where(swap, lo, hi)
+            value[left] = new_lo
+        for c, v in zip(cells, value.tolist()):
+            c.value = v
+            c._tick = t0 + n_ticks
 
 
 def build_odd_even_sorter(values: Sequence[float]) -> SystolicProgram:

@@ -102,6 +102,28 @@ def _clocked_setup(program: SystolicProgram, seed: int, delta: float):
     return buffered, cells, plan
 
 
+def _clean_clocked_run(
+    name: str, program: SystolicProgram, seed: int, delta: float
+) -> Any:
+    """Clocked run above the safe period with hold padding applied,
+    required violation-free."""
+    buffered, cells, plan = _clocked_setup(program, seed, delta)
+    period = plan.min_safe_period * 1.05 + 1e-6
+    schedule = ClockSchedule.from_buffered_tree(buffered, period, cells)
+    sim = ClockedArraySimulator(
+        program, schedule, delta=delta, edge_padding=plan.padding
+    )
+    require(not sim.hold_hazards(),
+            f"{name}: hold hazards survived the padding plan",
+            workload=name, padded_edges=plan.padded_edges)
+    clocked = sim.run()
+    require(clocked.clean,
+            f"{name}: clocked run above the safe period had violations",
+            workload=name, violations=len(clocked.violations),
+            period=period, min_safe_period=plan.min_safe_period)
+    return clocked
+
+
 @REGISTRY.register(
     "differential-functional",
     "differential",
@@ -114,21 +136,7 @@ def check_differential_functional(ctx: CheckContext) -> Dict[str, Any]:
     for name, program in _workloads(ctx):
         reference = program.run_lockstep()
 
-        # Clocked, above the safe period with hold padding applied.
-        buffered, cells, plan = _clocked_setup(program, ctx.seed, delta)
-        period = plan.min_safe_period * 1.05 + 1e-6
-        schedule = ClockSchedule.from_buffered_tree(buffered, period, cells)
-        sim = ClockedArraySimulator(
-            program, schedule, delta=delta, edge_padding=plan.padding
-        )
-        require(not sim.hold_hazards(),
-                f"{name}: hold hazards survived the padding plan",
-                workload=name, padded_edges=plan.padded_edges)
-        clocked = sim.run()
-        require(clocked.clean,
-                f"{name}: clocked run above the safe period had violations",
-                workload=name, violations=len(clocked.violations),
-                period=period, min_safe_period=plan.min_safe_period)
+        clocked = _clean_clocked_run(name, program, ctx.seed, delta)
         require(_values_equal(clocked.result, reference),
                 f"{name}: clocked result diverged from lockstep",
                 workload=name, clocked=repr(clocked.result),
@@ -158,6 +166,26 @@ def check_differential_functional(ctx: CheckContext) -> Dict[str, Any]:
         require(hybrid.verify_dependencies(),
                 f"{name}: hybrid cross-element dependency check failed",
                 workload=name)
+        checked.append(name)
+    if ctx.full:
+        # A sorter large enough that the clean clocked run and the hybrid
+        # run take the batched kernel: both must equal the scalar lockstep
+        # oracle bit for bit (keys with duplicates and signed zeros).
+        name = "sorter-256"
+        rng = ctx.rng("differential-sorter-256")
+        keys = [
+            rng.choice((0.0, -0.0)) if rng.random() < 0.2
+            else round(rng.uniform(-10.0, 10.0), 1)
+            for _ in range(256)
+        ]
+        program = build_odd_even_sorter(keys)
+        reference = [v.hex() for v in program.run_lockstep()]
+        clocked = _clean_clocked_run(name, program, ctx.seed, delta)
+        hybrid = execute_program_hybrid(program, element_size=3.0, delta=delta)
+        for path, result in (("clocked", clocked), ("hybrid", hybrid)):
+            require([v.hex() for v in result.result] == reference,
+                    f"{name}: {path} result is not bit-identical to lockstep",
+                    workload=name, path=path)
         checked.append(name)
     return {"workloads": checked}
 

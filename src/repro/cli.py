@@ -315,8 +315,6 @@ def cmd_schemes(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     """Run the invariant/differential/metamorphic check suite; exit 0 only
     if every oracle passes."""
-    import json
-
     from repro.check import run_suite
     from repro.obs.schema import validate_check_report
 
@@ -347,9 +345,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"report schema error: {err}", file=sys.stderr)
         return 2
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json_artifact(args.json, report)
         print(f"\nwrote {args.json} (schema-validated)")
     counts = report["counts"]
     print(
@@ -453,23 +449,23 @@ def _check_design_args(args: argparse.Namespace) -> None:
             raise ValueError(f"--{name} must be finite, got {value}")
 
 
-def _write_flow_artifact(path: str, payload: list) -> None:
-    """Strict JSON (no NaN/inf) flow report array, serialized before the
-    file is opened so a rejected value leaves no partial artifact."""
+def _write_json_artifact(path: str, payload: object) -> None:
+    """Write a ``--json`` artifact as strict JSON (no NaN/inf), serialized
+    before the file is opened so a rejected value leaves no partial
+    artifact."""
     import io
     import json
 
     buf = io.StringIO()
     json.dump(payload, buf, indent=2, sort_keys=True, allow_nan=False)
+    buf.write("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue() + "\n")
+        fh.write(buf.getvalue())
 
 
 def cmd_sta(args: argparse.Namespace) -> int:
     """Static timing analysis + design rules; exit 0 only if every analyzed
     design is clean (no stale/race edge, no DRC failure)."""
-    import json
-
     from repro.obs.schema import validate_sta_report
     from repro.sta import STAAnalyzer, design_for_workload
     from repro.sta.design import WORKLOADS
@@ -518,9 +514,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
             print(f"report schema error: {err}", file=sys.stderr)
         return 2
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json_artifact(args.json, payload)
         print(f"\nwrote {args.json} (schema-validated, {len(payload)} reports)")
     if args.flow:
         flow_payload = []
@@ -537,7 +531,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
                 else f"cycle time {mcm['cycle_time']:g}"
             )
             print(f"flow[{workload}]: {summary}")
-        _write_flow_artifact(args.flow, flow_payload)
+        _write_json_artifact(args.flow, flow_payload)
         print(
             f"wrote {args.flow} (schema-validated, "
             f"{len(flow_payload)} flow reports)"
@@ -598,7 +592,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         print(render_flow_report(report))
         payload.append(report)
     if args.json:
-        _write_flow_artifact(args.json, payload)
+        _write_json_artifact(args.json, payload)
         print(
             f"\nwrote {args.json} (schema-validated, "
             f"{len(payload)} flow reports)"

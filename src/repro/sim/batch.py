@@ -1,47 +1,54 @@
-"""Vectorized stream execution of systolic program payloads.
+"""Vectorized lockstep execution of systolic programs.
 
-A *clean* clocked run (no timing violations) is functionally identical to
-the ideal lockstep semantics: every cell's tick ``k`` consumes exactly its
-predecessors' tick ``k - 1`` outputs.  Under that guarantee the whole
-computation factors per cell: each cell maps its full input *streams*
-(length ``n_ticks`` value sequences per in-edge) to its full output
-streams, and cells can be evaluated once each in topological order instead
-of once per (cell, tick) event.
+A *clean* clocked run (no timing violations) and a hybrid run are both
+functionally identical to the ideal lockstep semantics: every cell's tick
+``k`` consumes exactly its predecessors' tick ``k - 1`` outputs.
+:func:`execute_lockstep` is the one entry that computes that result on
+arrays, by one of two evaluators:
 
-This module implements that evaluation for the built-in PE classes of
-:mod:`repro.arrays.cells` / :mod:`repro.arrays.systolic` with numpy
-streams.  Handlers perform *exactly* the scalar per-tick arithmetic
-(element-wise, same operation order), so results are bit-identical to the
-event-driven interpreters — the compiled clocked kernel
-(:mod:`repro.sim.compiled`) relies on that and the property tests pin it.
+* **streams**, for acyclic programs: the computation factors per cell —
+  each cell maps its full input *streams* (length ``n_ticks`` value
+  sequences per in-edge) to its full output streams — so cells are
+  evaluated once each in topological order instead of once per (cell,
+  tick) event.  Handlers exist for the built-in PE classes of
+  :mod:`repro.arrays.cells` / :mod:`repro.arrays.systolic`.  Streams carry
+  an explicit validity mask: ``None`` ("no data yet", the pipeline bubble)
+  is a masked-out entry, never a sentinel value.  FIR-style ``(x, y)``
+  packet tuples get a dedicated stream type.
+* **a class kernel**, for a linear array whose cells share a PE class with
+  a ``fire_batch`` (the odd-even sorter's bidirectional, hence cyclic,
+  chain): it steps every cell per tick on one array.
 
-Streams carry an explicit validity mask: ``None`` ("no data yet", the
-pipeline bubble) is a masked-out entry, never a sentinel value.  FIR-style
-``(x, y)`` packet tuples get a dedicated stream type.
+Both perform *exactly* the scalar per-tick arithmetic (element-wise, same
+operation order), so results are bit-identical to
+:class:`~repro.arrays.ideal.LockstepExecutor`, which stays the oracle.
 
-Anything the stream algebra cannot express — a PE class without a
-handler, a cyclic COMM graph, a script mixing packet and scalar entries —
-raises :class:`BatchUnsupported`; the caller falls back to the exact
-event-order replay, so batch execution is a pure optimization, never a
-semantics change.
+Anything else — a PE class without a handler, a cyclic program without a
+class kernel, a script mixing packet and scalar entries — raises
+:class:`BatchUnsupported`; the caller falls back to the exact event-order
+replay or the lockstep interpreter, so batch execution is a pure
+optimization, never a semantics change.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.arrays.cells import PE, RecordingSink, ScriptedSource
-from repro.arrays.systolic import FirCell, MatMulCell, MatVecCell
+from repro.arrays.systolic import FirCell, MatMulCell, MatVecCell, SystolicProgram
 from repro.graphs.comm import CommGraph
+from repro.sim.clocked import _ExecutorFacade
 
 CellId = Hashable
 
 
 class BatchUnsupported(Exception):
-    """The program is outside the stream algebra; use the replay path."""
+    """The program is outside the batch evaluators; use the replay path."""
 
 
 class FloatStream:
@@ -249,13 +256,13 @@ HANDLERS: Dict[type, Handler] = {
 def supports(pes: Mapping[CellId, PE], cells: List[CellId]) -> bool:
     """True when every cell's PE has a stream handler (exact type match —
     a subclass may override ``fire`` arbitrarily)."""
-    return all(type(pes[c]) in HANDLERS for c in cells)
+    return all(type(pes.get(c)) in HANDLERS for c in cells)
 
 
 def topological_order(comm: CommGraph) -> List[CellId]:
     """Kahn's algorithm; raises :class:`BatchUnsupported` on a cycle
     (cyclic programs — e.g. the bidirectional sorter — need per-tick
-    interleaving and take the replay path)."""
+    interleaving, which only a class kernel provides)."""
     cells = comm.nodes()
     indeg = {c: len(comm.predecessors(c)) for c in cells}
     queue = deque(c for c in cells if indeg[c] == 0)
@@ -297,3 +304,90 @@ def execute_streams(
         outs = HANDLERS[type(pes[cell])](pes[cell], ins, n_ticks)
         for dst in succs[cell]:
             edge_streams[(cell, dst)] = outs.get(dst)
+
+
+# ----------------------------------------------------------------------
+# the one entry: lockstep execution on arrays
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Plan:
+    """What :func:`execute_lockstep` needs of a COMM graph, snapshotted
+    at one :attr:`~repro.graphs.comm.CommGraph.version`."""
+
+    version: int
+    cells: List[CellId]
+    preds: Dict[CellId, Tuple[CellId, ...]]
+    succs: Dict[CellId, Tuple[CellId, ...]]
+    order: Optional[List[CellId]]  # topological order; None when cyclic
+    chain: bool  # cells are 0..n-1 and every cell hears both neighbours
+
+
+_PLANS: "weakref.WeakKeyDictionary[CommGraph, _Plan]" = weakref.WeakKeyDictionary()
+
+
+def _plan(comm: CommGraph) -> _Plan:
+    plan = _PLANS.get(comm)
+    if plan is not None and plan.version == comm.version:
+        return plan
+    cells = comm.nodes()
+    preds = {c: tuple(comm.predecessors(c)) for c in cells}
+    try:
+        order: Optional[List[CellId]] = topological_order(comm)
+    except BatchUnsupported:
+        order = None
+    n = len(cells)
+    chain = all(type(c) is int for c in cells) and set(cells) == set(range(n))
+    chain = chain and all(
+        (i == 0 or i - 1 in preds[i]) and (i == n - 1 or i + 1 in preds[i])
+        for i in range(n)
+    )
+    plan = _Plan(
+        version=comm.version,
+        cells=cells,
+        preds=preds,
+        succs={c: tuple(comm.successors(c)) for c in cells},
+        order=order,
+        chain=chain,
+    )
+    _PLANS[comm] = plan
+    return plan
+
+
+def execute_lockstep(program: SystolicProgram, n_ticks: int) -> Any:
+    """Reset ``program``'s PEs, run ``n_ticks`` ideal lockstep ticks on
+    arrays, and return ``program.read_result`` — bit-identical to a
+    :class:`~repro.arrays.ideal.LockstepExecutor` run of the same length.
+
+    An acyclic program goes through the stream evaluator; a linear array
+    ``0..n-1`` whose cells share a PE class with a ``fire_batch`` (called
+    with the cells in index order) goes through that kernel.  Otherwise
+    raises :class:`BatchUnsupported`; no PE is left mid-run.
+    """
+    if n_ticks < 0:
+        raise ValueError("cycle count must be non-negative")
+    pes = program.pes
+    plan = _plan(program.array.comm)
+    kernel: Optional[Callable[[List[PE], int], None]] = None
+    if plan.order is None or not supports(pes, plan.order):
+        cls = type(pes.get(0))
+        kernel = getattr(cls, "fire_batch", None)
+        if not (
+            plan.chain
+            and kernel is not None
+            and all(type(pes.get(c)) is cls for c in plan.cells)
+        ):
+            raise BatchUnsupported("no batch evaluator for this program")
+    for pe in pes.values():
+        pe.reset()
+    try:
+        if kernel is None:
+            assert plan.order is not None
+            execute_streams(pes, plan.order, plan.preds, plan.succs, n_ticks)
+        else:
+            kernel([pes[i] for i in range(len(plan.cells))], n_ticks)
+    except (BatchUnsupported, ValueError) as exc:
+        # ValueError: cells outside the class kernel's contract.
+        for pe in pes.values():
+            pe.reset()  # discard any partial state
+        raise BatchUnsupported(str(exc)) from exc
+    return program.read_result(_ExecutorFacade(pes))

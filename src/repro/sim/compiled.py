@@ -26,10 +26,10 @@ assert the agreement.
 Clocked timing has one implementation, :class:`CompiledTimingKernel`
 (one latch scan, one violation order, monolithic or streamed per edge
 block).  :class:`CompiledClockedKernel` runs on one and adds only the
-functional half: a clean run stream-executes through
-:mod:`repro.sim.batch`; dirty runs and programs outside the stream
-algebra replay events in exact scalar order from the scan's latch
-generations.
+functional half: a clean run executes on arrays through
+:func:`repro.sim.batch.execute_lockstep`; dirty runs and programs outside
+the batch evaluators replay events in exact scalar order from the scan's
+latch generations.
 """
 
 from __future__ import annotations
@@ -183,9 +183,6 @@ class CompiledClockedKernel:
                 None if type(schedule) is ClockSchedule else schedule.tick_time
             ),
         )
-        # Stream-execution plan for clean runs (None = not yet probed;
-        # False = unsupported, always replay).
-        self._stream_order: Any = None
 
     def run(
         self, ticks: Optional[int] = None, tracer: Optional[Any] = None
@@ -205,9 +202,6 @@ class CompiledClockedKernel:
             raise ValueError("need at least one tick")
         spans = tracer if isinstance(tracer, SpanTracer) else SpanTracer(tracer)
         kernel = self.timing_kernel
-        pes = self._program.pes
-        for pe in pes.values():
-            pe.reset()
         with spans.span("compiled.run", ticks=n_ticks, cells=len(self._cells)):
             with spans.span("compiled.tick_matrix"):
                 T = kernel.tick_matrix(n_ticks)
@@ -217,7 +211,7 @@ class CompiledClockedKernel:
                 violations = kernel.violations(t_latch, g)
                 h.annotate(count=len(violations))
             with spans.span("compiled.execute"):
-                result = self._execute(pes, T, g, n_ticks, not violations)
+                result = self._execute(T, g, n_ticks, not violations)
         return ClockedRunResult(
             result=result,
             violations=violations,
@@ -229,40 +223,27 @@ class CompiledClockedKernel:
     # functional execution
     # ------------------------------------------------------------------
     def _execute(
-        self,
-        pes: Mapping[CellId, Any],
-        T: np.ndarray,
-        g: np.ndarray,
-        n_ticks: int,
-        clean: bool,
+        self, T: np.ndarray, g: np.ndarray, n_ticks: int, clean: bool
     ) -> Any:
-        """The functional half of :meth:`run`: stream-execute a clean run
-        when the stream evaluator can express the program (probed once),
-        otherwise replay it with the scan's latch generations ``g``."""
-        if clean and self._stream_order is not False:
+        """The functional half of :meth:`run`.  A clean run is lockstep
+        equivalent, so :func:`repro.sim.batch.execute_lockstep` computes
+        it on arrays; a dirty run, or a program outside the batch
+        evaluators, replays with the scan's latch generations ``g``."""
+        if clean:
             try:
-                if self._stream_order is None:
-                    if not batch.supports(pes, self._cells):
-                        raise batch.BatchUnsupported("unhandled PE class")
-                    self._stream_order = batch.topological_order(
-                        self._program.array.comm
-                    )
-                batch.execute_streams(
-                    pes, self._stream_order, self._preds, self._succs, n_ticks
-                )
-                return self._program.read_result(_ExecutorFacade(pes))
+                return batch.execute_lockstep(self._program, n_ticks)
             except batch.BatchUnsupported:
-                self._stream_order = False
-                for pe in pes.values():
-                    pe.reset()  # discard any partial stream state
+                pass
         return self._replay(T, g, n_ticks)
 
     def _replay(self, T: np.ndarray, g: np.ndarray, n_ticks: int) -> Any:
         """Event-order functional replay using the latch generations —
-        exact scalar semantics for dirty runs and programs the stream
-        evaluator cannot express.  Events go in scalar order: by time,
+        exact scalar semantics for dirty runs and programs the batch
+        evaluators cannot express.  Events go in scalar order: by time,
         then tick, then cell position."""
         pes = self._program.pes
+        for pe in pes.values():
+            pe.reset()
         cells = self._cells
         n_cells = len(cells)
         k_flat = np.tile(np.arange(n_ticks, dtype=np.int64), n_cells)
@@ -440,20 +421,27 @@ class CompiledTimingKernel:
             t_latch = self._offsets[dst][:, None] + ks_time[None, :]
         else:
             t_latch = T[dst]
-        estimate = np.floor((t_latch - off_u - lag) / self._period)
-        g = estimate.astype(np.int64) + 3           # covers ~1.5 periods of jitter
+        # The scalar arithmetic, operation for operation, in preallocated
+        # (edges x ticks) buffers: no fresh temporary per operation.
+        estimate = t_latch - off_u
+        estimate -= lag
+        estimate /= self._period
+        g = np.floor(estimate, out=estimate).astype(np.int64)
+        g += 3                                      # covers ~1.5 periods of jitter
         thresh = t_latch + _LATCH_TOL
-        period = self._period
-        if Tall is None:
-            def sent(g: np.ndarray) -> np.ndarray:
-                return off_u + g * period
-        else:
-            src_col = src[:, None]
-
-            def sent(g: np.ndarray) -> np.ndarray:
-                return Tall[src_col, np.maximum(g, 0)]
+        sent = estimate  # reused: off_u + g * period, then + lag
+        late = np.empty(g.shape, dtype=bool)
+        live = np.empty(g.shape, dtype=bool)
+        src_col = src[:, None]
         while True:
-            late = (g >= 0) & (sent(g) + lag > thresh)
+            if Tall is None:
+                np.multiply(g, self._period, out=sent)
+                sent += off_u
+            else:
+                sent = Tall[src_col, np.maximum(g, 0)]
+            sent += lag
+            np.greater(sent, thresh, out=late)
+            late &= np.greater_equal(g, 0, out=live)
             if not late.any():
                 break
             g -= late

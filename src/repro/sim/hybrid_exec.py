@@ -21,11 +21,15 @@ start time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Hashable, List, Tuple
+
+import numpy as np
 
 from repro.arrays.ideal import LockstepExecutor
 from repro.arrays.systolic import SystolicProgram
 from repro.core.hybrid import HybridScheme, build_hybrid
+from repro.sim import batch
 from repro.sim.hybrid_sim import _barrier_timing
 
 CellId = Hashable
@@ -34,15 +38,30 @@ ElementId = Tuple[int, int]
 
 @dataclass
 class HybridExecution:
-    """Result of one hybrid run: data plus the timing that carried it."""
+    """Result of one hybrid run: data plus the timing that carried it.
+
+    ``start_matrix``/``finish_matrix`` hold one row per step and one
+    column per element of ``eids``; :attr:`start_times` and
+    :attr:`finish_times` are their per-step dict views, built on first
+    use (at 1,024 cells, building them costs more than the run).
+    """
 
     result: Any
     steps: int
-    start_times: List[Dict[ElementId, float]]   # per step
-    finish_times: List[Dict[ElementId, float]]  # per step
+    eids: List[ElementId]
+    start_matrix: np.ndarray
+    finish_matrix: np.ndarray
     cycle_time: float
     makespan: float
     scheme: HybridScheme
+
+    @cached_property
+    def start_times(self) -> List[Dict[ElementId, float]]:
+        return [dict(zip(self.eids, row)) for row in self.start_matrix.tolist()]
+
+    @cached_property
+    def finish_times(self) -> List[Dict[ElementId, float]]:
+        return [dict(zip(self.eids, row)) for row in self.finish_matrix.tolist()]
 
     def verify_dependencies(self) -> bool:
         """Every cross-element edge's producer finishes step ``k`` before
@@ -72,26 +91,31 @@ def execute_program_hybrid(
 ) -> HybridExecution:
     """Run ``program`` under a hybrid scheme built over its array.
 
-    ``steps`` defaults to the program's cycle count.  Functional execution
-    uses the lockstep interpreter (the barrier makes that exact); timing
-    follows the controller recurrence with optional per-step ``jitter``.
+    ``steps`` defaults to the program's cycle count.  The barrier makes
+    the functional result exactly lockstep, so it is computed on arrays by
+    :func:`repro.sim.batch.execute_lockstep`, or by the lockstep
+    interpreter for programs outside the batch evaluators; timing follows
+    the controller recurrence with optional per-step ``jitter``.
     """
     n_steps = steps if steps > 0 else program.cycles
     scheme = build_hybrid(program.array, element_size=element_size)
     timing = _barrier_timing(scheme, n_steps, delta, m, jitter, seed)
-    eids = timing.eids
 
     # Functional execution: the barrier makes hybrid semantics lockstep.
-    executor = LockstepExecutor(program.array.comm, program.pes)
-    executor.reset()
-    executor.run(n_steps)
-    result = program.read_result(executor)
+    try:
+        result = batch.execute_lockstep(program, n_steps)
+    except batch.BatchUnsupported:
+        executor = LockstepExecutor(program.array.comm, program.pes)
+        executor.reset()
+        executor.run(n_steps)
+        result = program.read_result(executor)
 
     return HybridExecution(
         result=result,
         steps=n_steps,
-        start_times=[dict(zip(eids, v.tolist())) for v in timing.starts],
-        finish_times=[dict(zip(eids, v.tolist())) for v in timing.finishes],
+        eids=timing.eids,
+        start_matrix=np.array(timing.starts),
+        finish_matrix=np.array(timing.finishes),
         cycle_time=timing.cycle_time,
         makespan=timing.makespans[-1],
         scheme=scheme,

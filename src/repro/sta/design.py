@@ -223,6 +223,8 @@ def design_for_workload(
     # Imported here: repro.sta.slack imports this module for type sharing.
     from repro.sta.slack import minimum_feasible_period, pad_for_races
 
+    if size <= 0:
+        raise ValueError(f"workload size must be positive, got {size}")
     rng = random.Random(f"sta-design|{workload}|{size}|{seed}")
     program = _workload(workload, size, rng)
     tree = build_scheme(scheme, program.array)

@@ -64,6 +64,7 @@ every step; the full pass stays in the tree as the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -378,8 +379,8 @@ class ECOSession:
         verdict masks depend on the period and they are re-derived lazily.
         """
         self._check_external()
-        if period <= 0:
-            raise ValueError("period must be positive")
+        if not math.isfinite(period) or period <= 0:
+            raise ValueError(f"period must be positive and finite, got {period}")
         self._design = self._design.with_period(float(period))
         rows = np.empty(0, dtype=np.int64)
         return self._record("set_period", f"{float(period):g}", rows, 0)

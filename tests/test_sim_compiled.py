@@ -2,7 +2,7 @@
 
 Deterministic (non-hypothesis) coverage of :mod:`repro.sim.compiled` and
 :mod:`repro.sim.batch`: exact clocked equivalence across regimes and
-workloads, the stream/replay split, the tandem recurrence, the hybrid
+workloads, the batched/replay split, the tandem recurrence, the hybrid
 max-plus step, and the ``CompiledTrialContext`` Monte-Carlo cache.  The
 randomized sweep lives in ``test_compiled_properties.py``.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.montecarlo import CompiledTrialContext, run_trials
 from repro.arrays.systolic import (
+    SorterCell,
     build_fir_array,
     build_matvec_array,
     build_mesh_matmul,
@@ -22,6 +23,7 @@ from repro.clocktree.buffered import BufferedClockTree
 from repro.clocktree.builders import serpentine_clock
 from repro.core.padding import plan_safe_clocking
 from repro.delay.variation import BoundedUniformVariation
+from repro.sim import batch
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sim.clocked import ClockedArraySimulator
 from repro.sim.compiled import CompiledClockedKernel, compile_clocked
@@ -98,17 +100,43 @@ def test_clean_compiled_run_is_lockstep_equal():
         assert repr(run.result) == repr(program.run_lockstep())
 
 
-def test_stream_path_engages_for_acyclic_and_not_for_cyclic():
+def _count_calls(monkeypatch, owner, name, wrap=lambda f: f):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrap(counted))
+    return calls
+
+
+def test_batched_path_for_clean_runs_and_replay_for_dirty(monkeypatch):
+    replays = _count_calls(monkeypatch, CompiledClockedKernel, "_replay")
+    streams = _count_calls(monkeypatch, batch, "execute_streams")
+    kernels = _count_calls(monkeypatch, SorterCell, "fire_batch", staticmethod)
     for name, program in _programs():
         cells = program.array.comm.nodes()
         schedule = ClockSchedule({c: 0.0 for c in cells}, period=10.0)
-        sim = ClockedArraySimulator(program, schedule, delta=1.0)
-        sim.run()
-        kernel = sim.compiled()
-        if name == "sorter":  # bidirectional COMM graph — replay path
-            assert kernel._stream_order is False
+        del replays[:], streams[:], kernels[:]
+        run = ClockedArraySimulator(program, schedule, delta=1.0).run()
+        assert run.clean and not replays
+        # acyclic programs stream; the bidirectional sorter steps its
+        # class kernel
+        if name == "sorter":
+            assert (len(streams), len(kernels)) == (0, 1)
         else:
-            assert kernel._stream_order not in (None, False)
+            assert (len(streams), len(kernels)) == (1, 0)
+    # Overdriven (period below the data-path lag): dirty, so it replays.
+    program = _programs()[2][1]
+    cells = program.array.comm.nodes()
+    schedule = ClockSchedule({c: 0.0 for c in cells}, period=0.5)
+    sim = ClockedArraySimulator(program, schedule, delta=1.0)
+    del replays[:], kernels[:]
+    run = sim.run()
+    assert run.violations and len(replays) == 1 and not kernels
+    _assert_identical(run, sim.run_scalar())
 
 
 def test_compiled_kernel_cached_and_explicit_ticks():

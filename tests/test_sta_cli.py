@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs.schema import validate_sta_report
 
@@ -52,6 +54,15 @@ def test_sta_bad_configuration_exits_two():
 
 def test_sta_unknown_workload_rejected():
     assert run_cli(["sta", "--workload", "quantum"]) == 2
+
+
+@pytest.mark.parametrize("workload", ["fir", "matvec", "sorter", "matmul"])
+@pytest.mark.parametrize("size", [0, -3])
+def test_design_facade_rejects_non_positive_size(workload, size):
+    from repro.sta.design import design_for_workload
+
+    with pytest.raises(ValueError, match="size must be positive"):
+        design_for_workload(workload, size)
 
 
 def test_sta_renders_drc_and_flagged_edge_tables(capsys):
@@ -128,6 +139,19 @@ def test_sta_eco_rejects_unknown_targets(tmp_path, capsys):
     code = run_cli(["sta", "--workload", "fir", "--size", "4", "--eco", script])
     assert code == 2
     assert "unknown cell" in capsys.readouterr().err
+
+
+def test_sta_eco_rejects_non_finite_period(tmp_path, capsys):
+    script = write_eco_script(
+        tmp_path / "nan.json", [{"op": "set_period", "period": float("nan")}]
+    )
+    out = tmp_path / "reports.json"
+    code = run_cli(["sta", "--workload", "fir", "--size", "4",
+                    "--eco", script, "--json", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "period" in err[0], err
+    assert not out.exists()
 
 
 def test_sta_eco_rejects_unknown_op(tmp_path, capsys):

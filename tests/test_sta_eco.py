@@ -152,6 +152,15 @@ def test_invalid_edits_raise():
         session.set_period(0.0)
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("inf"), -float("inf")])
+def test_set_period_rejects_non_finite(period):
+    session = ECOSession(make_design())
+    before = session.design.period
+    with pytest.raises(ValueError, match="finite"):
+        session.set_period(period)
+    assert session.design.period == before
+
+
 def test_external_mutation_is_detected():
     session = ECOSession(make_design())
     session.design.array.comm.add_node("intruder")

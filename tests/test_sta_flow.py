@@ -703,11 +703,11 @@ class TestFlowInputBoundary:
         assert text.endswith("\n")
 
     def test_non_finite_artifact_is_refused_whole(self, tmp_path):
-        from repro.cli import _write_flow_artifact
+        from repro.cli import _write_json_artifact
 
         out = tmp_path / "flow.json"
         with pytest.raises(ValueError):
-            _write_flow_artifact(str(out), [{"wire_delay": float("nan")}])
+            _write_json_artifact(str(out), [{"wire_delay": float("nan")}])
         assert not out.exists()
 
     @pytest.mark.parametrize("block,key", [
