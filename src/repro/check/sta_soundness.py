@@ -17,7 +17,9 @@ three cheap internal consistency claims along the way:
 * the monotone-bisection minimum feasible period matches the closed-form
   algebraic oracle;
 * the emitted report is schema-valid
-  (:data:`repro.obs.schema.STA_REPORT_SCHEMA` + cross-field rules).
+  (:data:`repro.obs.schema.STA_REPORT_SCHEMA` + cross-field rules), both
+  the bounded default and the one with per-edge columns, whose validation
+  recomputes the flags, counts and ``worst`` from the columns.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def check_sta_soundness(ctx: CheckContext) -> Dict[str, Any]:
         report = analyzer.report()
 
         schema_errors = validate_sta_report(report.to_dict())
+        schema_errors += validate_sta_report(report.to_dict(edges=True))
         require(
             not schema_errors,
             f"design {design.name} (seed {seed}): report fails schema",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence
@@ -507,7 +508,7 @@ def cmd_sta(args: argparse.Namespace) -> int:
             print()
         print(render_report(report, verbose=args.verbose))
         reports.append(report)
-    payload = [r.to_dict() for r in reports]
+    payload = [r.to_dict(edges=args.edges) for r in reports]
     schema_errors = [e for d in payload for e in validate_sta_report(d)]
     if schema_errors:  # an analyzer that emits broken reports is itself broken
         for err in schema_errors:
@@ -906,6 +907,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the schema-validated report array to FILE",
     )
     p.add_argument(
+        "--edges", action="store_true",
+        help="add every edge's slack row to the --json reports, as columns "
+        "(default: the summary plus the 16 worst edges)",
+    )
+    p.add_argument(
         "--verbose", action="store_true",
         help="list flagged edges even when the design is clean",
     )
@@ -983,9 +989,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing never mutates it, and
+    building it costs ~4 ms, which in-process callers would pay per call.
+    ``main`` looks the command function up by name at call time, so a
+    ``cmd_*`` replaced after the first call still runs."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _attach_observability(args)
     except OSError as exc:
@@ -995,7 +1009,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.tracer.enabled:
             args.tracer.event(0.0, "cli", "command", command=args.command)
         with _maybe_profiled(args, args.command):
-            code = args.func(args)
+            code = globals()[args.func.__name__](args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

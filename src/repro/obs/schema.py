@@ -11,13 +11,18 @@ perf-trajectory tooling of later PRs:
 The validator speaks a deliberately tiny dialect of JSON Schema —
 ``type`` (string or list of strings), ``properties`` + ``required`` for
 objects, ``items`` for arrays — enough to pin the shapes down without a
-dependency.
+dependency.  Columnar payloads (the STA report's optional per-edge
+``edges`` block) are not walked element by element: they are checked in
+bulk with numpy (length, element types, finiteness, and the cross-field
+rules recomputed as array expressions).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
+
+import numpy as np
 
 _TYPE_CHECKS = {
     "object": lambda v: isinstance(v, dict),
@@ -137,12 +142,39 @@ CHECK_REPORT_SCHEMA: Dict[str, Any] = {
     },
 }
 
-#: Shape of the report ``python -m repro sta --json FILE`` writes.
+#: The STA report's artifact contract.  The producer's constants
+#: (``repro.sta.report.WORST_EDGES``, ``repro.sta.slack.FLAG_BITS`` and
+#: ``repro.sta.slack.SIM_TOL``) are pinned equal to these by tests; the
+#: validator keeps its own copy so that it checks the analyzer instead of
+#: reusing it.
+STA_WORST_EDGES = 16
+STA_FLAG_BITS = ("stale", "stale-possible", "race", "race-possible", "race-floor")
+STA_SLACK_TOL = 1e-12
+STA_FLOAT_COLUMNS = (
+    "lag", "sigma_ub", "sigma_lb", "offset_lead",
+    "setup_slack", "hold_slack", "setup_slack_bound", "hold_slack_bound",
+)
+
+#: One per-edge slack row (the shape of each ``worst`` entry).
+STA_EDGE_ROW_SCHEMA: Dict[str, Any] = {
+    "type": "object",
+    "required": ["edge", *STA_FLOAT_COLUMNS, "flags"],
+    "properties": {
+        "edge": {"type": "array", "items": {"type": "string"}},
+        **{name: {"type": "number"} for name in STA_FLOAT_COLUMNS},
+        "flags": {"type": "array", "items": {"type": "string"}},
+    },
+}
+
+#: Shape of the report ``python -m repro sta --json FILE`` writes.  The
+#: optional ``edges`` block (``--edges``) holds one list per field; the
+#: schema walk only checks that each is a list, and
+#: :func:`validate_sta_report` checks their contents in bulk.
 STA_REPORT_SCHEMA: Dict[str, Any] = {
     "type": "object",
     "required": [
         "design", "period", "verdict", "robust",
-        "counts", "slack", "edges", "drc", "empirical", "meta",
+        "counts", "slack", "worst", "drc", "empirical", "meta",
     ],
     "properties": {
         "design": {"type": "string"},
@@ -179,27 +211,13 @@ STA_REPORT_SCHEMA: Dict[str, Any] = {
                 "min_feasible_period_bound": {"type": "number"},
             },
         },
+        "worst": {"type": "array", "items": STA_EDGE_ROW_SCHEMA},
         "edges": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "edge", "lag", "sigma_ub", "sigma_lb", "offset_lead",
-                    "setup_slack", "hold_slack",
-                    "setup_slack_bound", "hold_slack_bound", "flags",
-                ],
-                "properties": {
-                    "edge": {"type": "array", "items": {"type": "string"}},
-                    "lag": {"type": "number"},
-                    "sigma_ub": {"type": "number"},
-                    "sigma_lb": {"type": "number"},
-                    "offset_lead": {"type": "number"},
-                    "setup_slack": {"type": "number"},
-                    "hold_slack": {"type": "number"},
-                    "setup_slack_bound": {"type": "number"},
-                    "hold_slack_bound": {"type": "number"},
-                    "flags": {"type": "array", "items": {"type": "string"}},
-                },
+            "type": "object",
+            "required": ["flag_bits", "src", "dst", *STA_FLOAT_COLUMNS, "flags"],
+            "properties": {
+                name: {"type": "array"}
+                for name in ("flag_bits", "src", "dst", *STA_FLOAT_COLUMNS, "flags")
             },
         },
         "drc": {
@@ -437,58 +455,237 @@ def validate_check_report(obj: Any) -> List[str]:
     return errors
 
 
-def validate_sta_report(obj: Any) -> List[str]:
-    """Schema check plus the cross-field invariants of an STA report: the
-    verdict must agree with the violation counts, the counts must agree
-    with the per-edge rows, and DRC statuses must be from the fixed set."""
-    errors = validate(obj, STA_REPORT_SCHEMA)
-    if not errors:
-        counts = obj["counts"]
-        if counts["edges"] != len(obj["edges"]):
+#: ``counts`` key -> flag name, in bit order.
+_STA_COUNT_FLAGS = tuple((f.replace("-", "_"), f) for f in STA_FLAG_BITS)
+
+
+def _sta_flag_bits(cols: Dict[str, Any]) -> np.ndarray:
+    """The flag bitmask per edge of slack columns (field name -> values):
+    the latch classification, restated here so the validator does not
+    trust the analyzer's own."""
+    tol = STA_SLACK_TOL
+    lag, sigma_lb, setup, hold, setup_b, hold_b = (
+        np.asarray(cols[name], dtype=np.float64)
+        for name in ("lag", "sigma_lb", "setup_slack", "hold_slack",
+                     "setup_slack_bound", "hold_slack_bound")
+    )
+    stale = setup < -tol
+    race = hold <= tol
+    masks = (
+        stale,
+        (setup_b < -tol) & ~stale,
+        race,
+        (hold_b <= tol) & ~race,
+        sigma_lb >= lag - tol,
+    )
+    bits = np.zeros(len(lag), dtype=np.int64)
+    for i, mask in enumerate(masks):
+        bits[mask] |= 1 << i
+    return bits
+
+
+def _decode_sta_flags(bits: int) -> List[str]:
+    return [flag for i, flag in enumerate(STA_FLAG_BITS) if bits >> i & 1]
+
+
+def _column_types(col: Sequence[Any], allowed: Sequence[type]) -> bool:
+    """Every element's exact type is in ``allowed`` (``bool`` is not an
+    ``int`` here), checked in one C-level pass."""
+    return set(map(type, col)) <= set(allowed)
+
+
+def _validate_sta_worst(obj: Dict[str, Any]) -> List[str]:
+    """``worst``: as long as the contract says, ascending by
+    ``min(setup, hold)``, headed by the summary's worst slack, and every
+    row's flags consistent with its own values."""
+    errors: List[str] = []
+    counts = obj["counts"]
+    worst = obj["worst"]
+    expected = min(STA_WORST_EDGES, counts["edges"])
+    if len(worst) != expected:
+        errors.append(f"$.worst: {len(worst)} rows, expected {expected}")
+    keys = [min(r["setup_slack"], r["hold_slack"]) for r in worst]
+    if any(b < a for a, b in zip(keys, keys[1:])):
+        errors.append("$.worst: rows not ascending by min(setup, hold) slack")
+    summary = obj["slack"]
+    if keys and keys[0] != min(
+        summary["worst_setup_slack"], summary["worst_hold_slack"]
+    ):
+        errors.append(
+            f"$.worst[0]: min slack {keys[0]} is not the summary's worst"
+        )
+    try:
+        bits = _sta_flag_bits(
+            {name: [r[name] for r in worst] for name in STA_FLOAT_COLUMNS}
+        )
+    except OverflowError as exc:
+        return errors + [f"$.worst: {exc}"]
+    for i, r in enumerate(worst):
+        if len(r["edge"]) != 2:
+            errors.append(f"$.worst[{i}].edge: expected [src, dst]")
+        flags = _decode_sta_flags(int(bits[i]))
+        if r["flags"] != flags:
             errors.append(
-                f"$.counts.edges: {counts['edges']} != {len(obj['edges'])} rows"
+                f"$.worst[{i}].flags: {r['flags']} disagrees with its slack "
+                f"values ({flags})"
             )
-        for key, flag in (
-            ("stale", "stale"), ("race", "race"),
-            ("stale_possible", "stale-possible"),
-            ("race_possible", "race-possible"),
-            ("race_floor", "race-floor"),
+    for key, flag in _STA_COUNT_FLAGS:
+        listed = sum(1 for r in worst if flag in r["flags"])
+        if listed > counts[key]:
+            errors.append(
+                f"$.counts.{key}: {counts[key]} < {listed} flagged worst rows"
+            )
+    return errors
+
+
+def _validate_sta_edges(obj: Dict[str, Any]) -> List[str]:
+    """The per-edge columns, in bulk: lengths, element types, finiteness,
+    then the flags, counts, worst slacks and ``worst`` recomputed from the
+    columns."""
+    cols = obj["edges"]
+    n = obj["counts"]["edges"]
+    errors: List[str] = []
+    if cols["flag_bits"] != list(STA_FLAG_BITS):
+        errors.append(
+            f"$.edges.flag_bits: {cols['flag_bits']} != {list(STA_FLAG_BITS)}"
+        )
+    kinds = {"src": (str,), "dst": (str,), "flags": (int,)}
+    for name in ("src", "dst", *STA_FLOAT_COLUMNS, "flags"):
+        col = cols[name]
+        if len(col) != n:
+            errors.append(f"$.edges.{name}: {len(col)} values, expected {n}")
+        elif not _column_types(col, kinds.get(name, (float, int))):
+            errors.append(f"$.edges.{name}: element of the wrong type")
+    if not errors and n and not (
+        0 <= min(cols["flags"]) and max(cols["flags"]) < 1 << len(STA_FLAG_BITS)
+    ):
+        errors.append("$.edges.flags: bitmask outside the flag bits")
+    if errors:
+        return errors
+    try:
+        arr = {
+            name: np.asarray(cols[name], dtype=np.float64)
+            for name in STA_FLOAT_COLUMNS
+        }
+    except OverflowError as exc:
+        return [f"$.edges: {exc}"]
+    for name, a in arr.items():
+        bad = np.flatnonzero(~np.isfinite(a))
+        if len(bad):
+            errors.append(
+                f"$.edges.{name}[{int(bad[0])}]: non-finite {a[bad[0]]} "
+                f"({len(bad)} such values)"
+            )
+    if errors:
+        return errors
+    flags = np.asarray(cols["flags"], dtype=np.int64)
+    bits = _sta_flag_bits(arr)
+    bad = np.flatnonzero(flags != bits)
+    if len(bad):
+        i = int(bad[0])
+        errors.append(
+            f"$.edges.flags[{i}]: {int(flags[i])} disagrees with the slack "
+            f"columns ({int(bits[i])}; {len(bad)} such edges)"
+        )
+    counts = obj["counts"]
+    for bit, (key, _) in enumerate(_STA_COUNT_FLAGS):
+        seen = int(np.count_nonzero(bits & 1 << bit))
+        if counts[key] != seen:
+            errors.append(
+                f"$.counts.{key}: {counts[key]} != {seen} flagged edges"
+            )
+    if n:
+        summary = obj["slack"]
+        for key, name in (
+            ("worst_setup_slack", "setup_slack"),
+            ("worst_hold_slack", "hold_slack"),
         ):
-            seen = sum(1 for e in obj["edges"] if flag in e["flags"])
-            if counts[key] != seen:
+            if summary[key] != float(arr[name].min()):
                 errors.append(
-                    f"$.counts.{key}: {counts[key]} != {seen} flagged rows"
+                    f"$.slack.{key}: {summary[key]} != column minimum "
+                    f"{float(arr[name].min())}"
                 )
-        drc_fail = sum(1 for r in obj["drc"] if r["status"] == "fail")
-        if counts["drc_fail"] != drc_fail:
+    robust = (
+        obj["verdict"] == "clean"
+        and counts["drc_warn"] == 0
+        and bool((arr["setup_slack_bound"] >= -STA_SLACK_TOL).all())
+        and bool((arr["hold_slack_bound"] > STA_SLACK_TOL).all())
+    )
+    if obj["robust"] != robust:
+        errors.append(f"$.robust: {obj['robust']} disagrees with the columns")
+    key = np.minimum(arr["setup_slack"], arr["hold_slack"])
+    order = np.argsort(key, kind="stable")[:STA_WORST_EDGES]
+    expected = [
+        {
+            "edge": [cols["src"][i], cols["dst"][i]],
+            **{name: float(arr[name][i]) for name in STA_FLOAT_COLUMNS},
+            "flags": _decode_sta_flags(int(bits[i])),
+        }
+        for i in order.tolist()
+    ]
+    if obj["worst"] != expected:
+        errors.append("$.worst: differs from the worst edges of the columns")
+    return errors
+
+
+def validate_sta_report(obj: Any) -> List[str]:
+    """Schema check plus the cross-field invariants of an STA report.
+
+    The fixed part is schema-walked: every number in it must be finite,
+    the verdict must agree with the violation counts, ``robust`` implies
+    ``clean``, DRC statuses come from the fixed set, and ``worst`` must be
+    the right length, ordered, and flagged consistently with its values.
+    When the per-edge ``edges`` columns are present they are checked in
+    bulk, and the flags, counts, worst slacks and ``worst`` are recomputed
+    from them and must match.
+    """
+    errors = validate(obj, STA_REPORT_SCHEMA)
+    if errors:
+        return errors
+    errors.extend(_non_finite(obj["period"], "$.period"))
+    for block in ("slack", "worst", "empirical", "eco"):
+        errors.extend(_non_finite(obj.get(block), f"$.{block}"))
+    if errors:
+        return errors
+    counts = obj["counts"]
+    for key, _ in _STA_COUNT_FLAGS:
+        if not 0 <= counts[key] <= counts["edges"]:
             errors.append(
-                f"$.counts.drc_fail: {counts['drc_fail']} != {drc_fail} fail rows"
+                f"$.counts.{key}: {counts[key]} outside [0, {counts['edges']}]"
             )
-        for i, r in enumerate(obj["drc"]):
-            if r["status"] not in ("pass", "fail", "warn", "skip"):
-                errors.append(f"$.drc[{i}].status: unknown status {r['status']!r}")
-        dirty = counts["stale"] + counts["race"] + counts["drc_fail"] > 0
-        if obj["verdict"] not in ("clean", "violations"):
-            errors.append(f"$.verdict: unknown verdict {obj['verdict']!r}")
-        elif (obj["verdict"] == "violations") != dirty:
+    drc_fail = sum(1 for r in obj["drc"] if r["status"] == "fail")
+    if counts["drc_fail"] != drc_fail:
+        errors.append(
+            f"$.counts.drc_fail: {counts['drc_fail']} != {drc_fail} fail rows"
+        )
+    for i, r in enumerate(obj["drc"]):
+        if r["status"] not in ("pass", "fail", "warn", "skip"):
+            errors.append(f"$.drc[{i}].status: unknown status {r['status']!r}")
+    dirty = counts["stale"] + counts["race"] + counts["drc_fail"] > 0
+    if obj["verdict"] not in ("clean", "violations"):
+        errors.append(f"$.verdict: unknown verdict {obj['verdict']!r}")
+    elif (obj["verdict"] == "violations") != dirty:
+        errors.append(
+            f"$.verdict: {obj['verdict']!r} disagrees with counts "
+            f"(stale {counts['stale']}, race {counts['race']}, "
+            f"drc_fail {counts['drc_fail']})"
+        )
+    if obj["robust"] and obj["verdict"] != "clean":
+        errors.append("$.robust: true on a non-clean report")
+    eco = obj.get("eco")
+    if eco is not None:
+        if not 0.0 <= eco["reuse_fraction"] <= 1.0:
             errors.append(
-                f"$.verdict: {obj['verdict']!r} disagrees with counts "
-                f"(stale {counts['stale']}, race {counts['race']}, "
-                f"drc_fail {counts['drc_fail']})"
+                f"$.eco.reuse_fraction: {eco['reuse_fraction']} outside [0, 1]"
             )
-        if obj["robust"] and obj["verdict"] != "clean":
-            errors.append("$.robust: true on a non-clean report")
-        eco = obj.get("eco")
-        if eco is not None:
-            if not 0.0 <= eco["reuse_fraction"] <= 1.0:
-                errors.append(
-                    f"$.eco.reuse_fraction: {eco['reuse_fraction']} outside [0, 1]"
-                )
-            if eco["dirty_rows"] > counts["edges"]:
-                errors.append(
-                    f"$.eco.dirty_rows: {eco['dirty_rows']} exceeds "
-                    f"{counts['edges']} edges"
-                )
+        if eco["dirty_rows"] > counts["edges"]:
+            errors.append(
+                f"$.eco.dirty_rows: {eco['dirty_rows']} exceeds "
+                f"{counts['edges']} edges"
+            )
+    errors.extend(_validate_sta_worst(obj))
+    if "edges" in obj:
+        errors.extend(_validate_sta_edges(obj))
     return errors
 
 

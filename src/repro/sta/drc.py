@@ -22,6 +22,7 @@ verdict can never disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -92,8 +93,14 @@ def _rule_a5(design: Design, slack: SlackAnalysis) -> RuleResult:
     Failing against the *concrete* schedule means stale reads will happen
     (same condition as the slack verdict); meeting the schedule but not the
     skew model's worst case is a warning — the design is betting on this
-    particular skew realization.
+    particular skew realization.  A non-finite period fails outright: no
+    comparison against NaN or inf says anything about the clock.
     """
+    if not math.isfinite(design.period):
+        return RuleResult(
+            "A5", "period >= sigma + delta + tau", STATUS_FAIL,
+            f"period {design.period} is not finite",
+        )
     tau = design.buffered.tau() if design.buffered is not None else 0.0
     sigma_ub = float(slack.sigma_ub.max()) if len(slack.edges) else 0.0
     model_need = design.discipline.min_period(sigma_ub, design.delta, tau)
@@ -182,7 +189,7 @@ def _rule_a11(design: Design, slack: SlackAnalysis) -> RuleResult:
     """
     races = int(slack.race_mask.sum())
     floor = int(slack.race_floor_mask.sum())
-    possible = int(((slack.hold_bound <= SIM_TOL) & ~slack.race_mask).sum())
+    possible = int(slack.flags.race_possible.sum())
     min_lag = float(slack.lag.min()) if len(slack.edges) else 0.0
     sigma_ub = float(slack.sigma_ub.max()) if len(slack.edges) else 0.0
     report = design.discipline.evaluate(

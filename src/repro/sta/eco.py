@@ -86,10 +86,12 @@ from repro.sta.flow import (
 )
 from repro.sta.report import STAReport, build_report
 from repro.sta.slack import (
-    SIM_TOL,
+    EdgeFlags,
     SlackAnalysis,
     _bisect_period,
     _edge_vectors,
+    classify_edges,
+    race_floor_mask,
 )
 
 NodeId = Hashable
@@ -214,7 +216,7 @@ class ECOSession:
         self._comm_version = design.array.comm.version
         self._tree_version = tree.version
         self._edits: List[EcoEdit] = []
-        self._counts_cache: Optional[Dict[str, int]] = None
+        self._flags_cache: Optional[EdgeFlags] = None
         # Self-timed channel capacities (session state, not on the
         # design: the clocked discipline has no FIFOs).  Missing edge =
         # unbounded.  The flow memos are keyed by (service vector bytes,
@@ -265,7 +267,7 @@ class ECOSession:
         self._max_need_exact.note_dirty(rows)
         self._min_need_exact.note_dirty(rows)
         self._max_need_bound.note_dirty(rows)
-        self._counts_cache = None
+        self._flags_cache = None
         edit = EcoEdit(
             op=op,
             target=target,
@@ -500,39 +502,34 @@ class ECOSession:
             raise ValueError(f"unknown slack mode {mode!r} (exact|bound)")
         return _bisect_period(needs_max, tol=tol, max_iterations=max_iterations)
 
-    def _masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        period = self._design.period
-        stale = (period - self._need_exact) < -SIM_TOL
-        race = self._need_exact <= SIM_TOL
-        stale_bound = (period - self._need_bound) < -SIM_TOL
-        race_bound = self._hold_bound <= SIM_TOL
-        race_floor = self._sigma_lb >= self._lag - SIM_TOL
-        return stale, race, stale_bound, race_bound, race_floor
+    def _flags(self) -> EdgeFlags:
+        """The shared classification of the current state, re-derived
+        lazily after edits."""
+        self._check_external()
+        if self._flags_cache is None:
+            period = self._design.period
+            self._flags_cache = classify_edges(
+                period - self._need_exact,
+                self._need_exact,
+                period - self._need_bound,
+                self._hold_bound,
+                race_floor_mask(self._lag, self._sigma_lb),
+            )
+        return self._flags_cache
 
     def counts(self) -> Dict[str, int]:
         """Flag counts in the shape :func:`~repro.sta.report.build_report`
-        computes (sans DRC), re-derived lazily after edits."""
-        self._check_external()
-        if self._counts_cache is None:
-            stale, race, stale_bound, race_bound, race_floor = self._masks()
-            self._counts_cache = {
-                "edges": len(self._edges),
-                "stale": int(np.count_nonzero(stale)),
-                "race": int(np.count_nonzero(race)),
-                "stale_possible": int(np.count_nonzero(stale_bound & ~stale)),
-                "race_possible": int(np.count_nonzero(race_bound & ~race)),
-                "race_floor": int(np.count_nonzero(race_floor)),
-            }
-        return dict(self._counts_cache)
+        computes (sans DRC)."""
+        out: Dict[str, int] = {"edges": len(self._edges)}
+        out.update(self._flags().counts())
+        return out
 
     def timing_clean(self) -> bool:
         counts = self.counts()
         return counts["stale"] == 0 and counts["race"] == 0
 
     def robust_clean(self) -> bool:
-        self._check_external()
-        _, _, stale_bound, race_bound, _ = self._masks()
-        return not (bool(stale_bound.any()) or bool(race_bound.any()))
+        return self._flags().robust
 
     @property
     def channel_capacities(self) -> Dict[EdgeKey, int]:

@@ -1,4 +1,4 @@
-"""The STA report: one JSON-serializable verdict per design.
+"""The STA report: one bounded, JSON-serializable verdict per design.
 
 The shape is pinned by :data:`repro.obs.schema.STA_REPORT_SCHEMA` and
 validated on every CLI emission; the verdict drives the exit code
@@ -10,6 +10,13 @@ race edge *and* no design rule fails; bound-mode (worst-case-skew)
 problems and DRC warnings leave the verdict clean but are counted and
 listed so the caller can gate on robustness separately (``robust`` is the
 stricter bit).
+
+The default artifact is bounded whatever the design's size: the counts,
+the slack summary, the DRC rows, the empirical block and ``worst``, the
+:data:`WORST_EDGES` edges with the smallest ``min(setup, hold)`` exact
+slack.  Per-edge data is opt-in (``to_dict(edges=True)``, ``repro sta
+--edges``) and columnar: one list per field, with the flags packed into
+one integer bitmask per edge in :data:`~repro.sta.slack.FLAG_BITS` order.
 """
 
 from __future__ import annotations
@@ -18,25 +25,48 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro import __version__
 from repro.sta.design import Design
 from repro.sta.drc import RuleResult, STATUS_FAIL, STATUS_WARN, drc_counts
-from repro.sta.slack import (
-    FLAG_RACE,
-    FLAG_RACE_FLOOR,
-    FLAG_RACE_POSSIBLE,
-    FLAG_STALE,
-    FLAG_STALE_POSSIBLE,
-    SlackAnalysis,
-)
+from repro.sta.slack import FLAG_BITS, SlackAnalysis, decode_flags
 from repro.tables import render_table
 
 VERDICT_CLEAN = "clean"
 VERDICT_VIOLATIONS = "violations"
 
+#: Rows in a report's ``worst`` list: the edges with the smallest
+#: ``min(setup_slack, hold_slack)``, ascending, ties by edge index.
+WORST_EDGES = 16
 
-def _cell_str(cell: Any) -> str:
-    return str(cell)
+#: Column name -> SlackAnalysis array, in the per-edge row order.
+_FLOAT_COLUMNS = (
+    ("lag", "lag"),
+    ("sigma_ub", "sigma_ub"),
+    ("sigma_lb", "sigma_lb"),
+    ("offset_lead", "offset_lead"),
+    ("setup_slack", "setup_exact"),
+    ("hold_slack", "hold_exact"),
+    ("setup_slack_bound", "setup_bound"),
+    ("hold_slack_bound", "hold_bound"),
+)
+
+
+def _worst_order(analysis: SlackAnalysis) -> np.ndarray:
+    """Indices of the :data:`WORST_EDGES` edges with the smallest
+    ``min(setup, hold)`` exact slack, ascending, ties by edge index."""
+    key = np.minimum(analysis.setup_exact, analysis.hold_exact)
+    return np.argsort(key, kind="stable")[:WORST_EDGES]
+
+
+def _edge_row(analysis: SlackAnalysis, i: int, bits: int) -> Dict[str, Any]:
+    u, v = analysis.edges[i]
+    row: Dict[str, Any] = {"edge": [str(u), str(v)]}
+    for name, attr in _FLOAT_COLUMNS:
+        row[name] = float(getattr(analysis, attr)[i])
+    row["flags"] = list(decode_flags(bits))
+    return row
 
 
 @dataclass
@@ -49,8 +79,13 @@ class STAReport:
     robust: bool
     counts: Dict[str, int]
     slack_summary: Dict[str, float]
-    edges: List[Dict[str, Any]]
+    worst: List[Dict[str, Any]]
     drc: List[Dict[str, str]]
+    #: The slack vectors behind the per-edge columns of ``to_dict(edges=True)``.
+    analysis: SlackAnalysis = field(repr=False, compare=False)
+    #: Edges carrying at least one flag (``worst`` lists at most
+    #: :data:`WORST_EDGES` edges, flagged or not).
+    flagged: int = 0
     empirical: Optional[Dict[str, Any]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
     #: Audit record of the ECO edit this report reflects (one report per
@@ -61,7 +96,22 @@ class STAReport:
     def passed(self) -> bool:
         return self.verdict == VERDICT_CLEAN
 
-    def to_dict(self) -> Dict[str, Any]:
+    def _edge_columns(self) -> Dict[str, Any]:
+        """Every edge's slack row as columns: ``src``, ``dst``, the eight
+        float fields, and the ``flags`` bitmask (bit order ``flag_bits``)."""
+        a = self.analysis
+        out: Dict[str, Any] = {
+            "flag_bits": list(FLAG_BITS),
+            "src": [str(u) for u, _ in a.edges],
+            "dst": [str(v) for _, v in a.edges],
+        }
+        for name, attr in _FLOAT_COLUMNS:
+            out[name] = getattr(a, attr).tolist()
+        out["flags"] = a.flags.bits().tolist()
+        return out
+
+    def to_dict(self, edges: bool = False) -> Dict[str, Any]:
+        """The JSON artifact; ``edges=True`` adds the per-edge columns."""
         out: Dict[str, Any] = {
             "design": self.design,
             "period": self.period,
@@ -69,11 +119,13 @@ class STAReport:
             "robust": self.robust,
             "counts": dict(self.counts),
             "slack": dict(self.slack_summary),
-            "edges": [dict(e) for e in self.edges],
+            "worst": [dict(e) for e in self.worst],
             "drc": [dict(r) for r in self.drc],
             "empirical": dict(self.empirical) if self.empirical is not None else None,
             "meta": dict(self.meta),
         }
+        if edges:
+            out["edges"] = self._edge_columns()
         if self.eco is not None:
             out["eco"] = dict(self.eco)
         return out
@@ -88,28 +140,20 @@ def build_report(
     empirical: Optional[Dict[str, Any]] = None,
 ) -> STAReport:
     """Assemble the report from the analysis pieces (pure; no I/O)."""
-    rows = analysis.rows()
-    counts = {
-        "edges": len(rows),
-        "stale": sum(1 for r in rows if FLAG_STALE in r.flags),
-        "race": sum(1 for r in rows if FLAG_RACE in r.flags),
-        "stale_possible": sum(1 for r in rows if FLAG_STALE_POSSIBLE in r.flags),
-        "race_possible": sum(1 for r in rows if FLAG_RACE_POSSIBLE in r.flags),
-        "race_floor": sum(1 for r in rows if FLAG_RACE_FLOOR in r.flags),
-        "drc_fail": drc_counts(drc_results)[STATUS_FAIL],
-        "drc_warn": drc_counts(drc_results)[STATUS_WARN],
-    }
+    flags = analysis.flags
+    drc = drc_counts(drc_results)
+    counts: Dict[str, int] = {"edges": len(analysis.edges)}
+    counts.update(flags.counts())
+    counts["drc_fail"] = drc[STATUS_FAIL]
+    counts["drc_warn"] = drc[STATUS_WARN]
     timing_clean = counts["stale"] == 0 and counts["race"] == 0
     verdict = (
         VERDICT_CLEAN
         if timing_clean and counts["drc_fail"] == 0
         else VERDICT_VIOLATIONS
     )
-    robust = (
-        verdict == VERDICT_CLEAN
-        and analysis.robust_clean
-        and counts["drc_warn"] == 0
-    )
+    robust = verdict == VERDICT_CLEAN and flags.robust and counts["drc_warn"] == 0
+    bits = flags.bits()
     return STAReport(
         design=design.name,
         period=design.period,
@@ -122,20 +166,9 @@ def build_report(
             "min_feasible_period_exact": min_feasible_exact,
             "min_feasible_period_bound": min_feasible_bound,
         },
-        edges=[
-            {
-                "edge": [_cell_str(r.edge[0]), _cell_str(r.edge[1])],
-                "lag": r.lag,
-                "sigma_ub": r.sigma_ub,
-                "sigma_lb": r.sigma_lb,
-                "offset_lead": r.offset_lead,
-                "setup_slack": r.setup_slack,
-                "hold_slack": r.hold_slack,
-                "setup_slack_bound": r.setup_slack_bound,
-                "hold_slack_bound": r.hold_slack_bound,
-                "flags": list(r.flags),
-            }
-            for r in rows
+        worst=[
+            _edge_row(analysis, int(i), int(bits[i]))
+            for i in _worst_order(analysis)
         ],
         drc=[
             {
@@ -146,6 +179,8 @@ def build_report(
             }
             for r in drc_results
         ],
+        analysis=analysis,
+        flagged=int(np.count_nonzero(bits)),
         empirical=empirical,
         meta={"emitted_at": time.time(), "repro_version": __version__},
     )
@@ -153,7 +188,7 @@ def build_report(
 
 def render_report(report: STAReport, verbose: bool = False) -> str:
     """Plain-text rendering for the CLI: summary, DRC table, and (with
-    ``verbose`` or on a dirty design) the offending slack rows."""
+    ``verbose`` or on a dirty design) the flagged rows among ``worst``."""
     parts: List[str] = []
     s = report.slack_summary
     parts.append(
@@ -181,23 +216,28 @@ def render_report(report: STAReport, verbose: bool = False) -> str:
             title="design rules (A1-A11)",
         )
     )
-    flagged = [e for e in report.edges if e["flags"]]
-    if flagged and (verbose or report.verdict != VERDICT_CLEAN):
-        parts.append(
-            render_table(
-                ["edge", "lag", "setup", "hold", "setup(b)", "hold(b)", "flags"],
-                [[
-                    f"{e['edge'][0]}->{e['edge'][1]}",
-                    e["lag"],
-                    e["setup_slack"],
-                    e["hold_slack"],
-                    e["setup_slack_bound"],
-                    e["hold_slack_bound"],
-                    ",".join(e["flags"]),
-                ] for e in flagged],
-                title=f"flagged edges ({len(flagged)})",
-            )
+    if report.flagged and (verbose or report.verdict != VERDICT_CLEAN):
+        listed = [e for e in report.worst if e["flags"]]
+        table = render_table(
+            ["edge", "lag", "setup", "hold", "setup(b)", "hold(b)", "flags"],
+            [[
+                f"{e['edge'][0]}->{e['edge'][1]}",
+                e["lag"],
+                e["setup_slack"],
+                e["hold_slack"],
+                e["setup_slack_bound"],
+                e["hold_slack_bound"],
+                ",".join(e["flags"]),
+            ] for e in listed],
+            title=f"flagged edges ({report.flagged})",
         )
+        if len(listed) < report.flagged:
+            table += (
+                f"\nshowing {len(listed)} of {report.flagged} flagged "
+                f"(the flagged edges among the {WORST_EDGES} worst by "
+                "min(setup, hold); --edges writes every edge)"
+            )
+        parts.append(table)
     if report.empirical is not None:
         emp = report.empirical
         parts.append(

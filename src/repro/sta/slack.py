@@ -41,6 +41,7 @@ algebraic oracle the tests compare against).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -58,6 +59,93 @@ FLAG_STALE_POSSIBLE = "stale-possible"  # bound setup slack negative
 FLAG_RACE = "race"                      # exact hold slack non-positive
 FLAG_RACE_POSSIBLE = "race-possible"    # bound hold slack non-positive
 FLAG_RACE_FLOOR = "race-floor"          # A11 floor alone defeats the lag
+
+#: Bit order of the STA report's per-edge ``flags`` column: bit ``i`` is
+#: set iff the edge carries ``FLAG_BITS[i]``.  Decoding a bitmask in this
+#: order yields the flags in the order :meth:`SlackAnalysis.rows` lists
+#: them.
+FLAG_BITS: Tuple[str, ...] = (
+    FLAG_STALE,
+    FLAG_STALE_POSSIBLE,
+    FLAG_RACE,
+    FLAG_RACE_POSSIBLE,
+    FLAG_RACE_FLOOR,
+)
+
+
+def decode_flags(bits: int) -> Tuple[str, ...]:
+    """The flag names a ``flags``-column bitmask stands for."""
+    return tuple(flag for i, flag in enumerate(FLAG_BITS) if bits >> i & 1)
+
+
+@dataclass(frozen=True)
+class EdgeFlags:
+    """The per-edge verdict classification, one boolean mask per flag.
+
+    ``stale``/``race`` are the exact-mode violations; the ``*_possible``
+    masks hold the bound-mode problems of edges that are exact-clean in
+    that direction; ``race_floor`` is the A11 floor.  ``robust`` is
+    "clean even at the model's worst-case skew" (every bound-mode slack
+    clears the tolerance).
+    """
+
+    stale: np.ndarray
+    stale_possible: np.ndarray
+    race: np.ndarray
+    race_possible: np.ndarray
+    race_floor: np.ndarray
+    robust: bool
+
+    def counts(self) -> Dict[str, int]:
+        """Edges per flag, keyed as the STA report's ``counts`` block."""
+        return {
+            "stale": int(np.count_nonzero(self.stale)),
+            "race": int(np.count_nonzero(self.race)),
+            "stale_possible": int(np.count_nonzero(self.stale_possible)),
+            "race_possible": int(np.count_nonzero(self.race_possible)),
+            "race_floor": int(np.count_nonzero(self.race_floor)),
+        }
+
+    def bits(self) -> np.ndarray:
+        """The int64 flag bitmask per edge (bit order :data:`FLAG_BITS`)."""
+        out = np.zeros(len(self.stale), dtype=np.int64)
+        masks = (self.stale, self.stale_possible, self.race,
+                 self.race_possible, self.race_floor)
+        for i, mask in enumerate(masks):
+            out[mask] |= 1 << i
+        return out
+
+
+def race_floor_mask(lag: np.ndarray, sigma_lb: np.ndarray) -> np.ndarray:
+    """Edges whose lag does not clear the A11 skew floor (period-free)."""
+    return sigma_lb >= lag - SIM_TOL
+
+
+def classify_edges(
+    setup_exact: np.ndarray,
+    hold_exact: np.ndarray,
+    setup_bound: np.ndarray,
+    hold_bound: np.ndarray,
+    race_floor: np.ndarray,
+) -> EdgeFlags:
+    """The one vectorized stale/race/possible/floor classification.
+
+    Every consumer of flag counts (the full report, the ECO session, the
+    tiled summary) calls this; :meth:`SlackAnalysis.rows` re-derives the
+    same flags one scalar row at a time and stays the oracle.
+    """
+    stale = setup_exact < -SIM_TOL
+    race = hold_exact <= SIM_TOL
+    return EdgeFlags(
+        stale=stale,
+        stale_possible=(setup_bound < -SIM_TOL) & ~stale,
+        race=race,
+        race_possible=(hold_bound <= SIM_TOL) & ~race,
+        race_floor=race_floor,
+        robust=bool(
+            (setup_bound >= -SIM_TOL).all() and (hold_bound > SIM_TOL).all()
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -101,21 +189,32 @@ class SlackAnalysis:
     hold_bound: np.ndarray
 
     # -- classification --------------------------------------------------
+    @cached_property
+    def flags(self) -> EdgeFlags:
+        """The vectorized classification of every edge (computed once)."""
+        return classify_edges(
+            self.setup_exact,
+            self.hold_exact,
+            self.setup_bound,
+            self.hold_bound,
+            race_floor_mask(self.lag, self.sigma_lb),
+        )
+
     @property
     def stale_mask(self) -> np.ndarray:
         """Edges the simulator will read stale (setup) data on."""
-        return self.setup_exact < -SIM_TOL
+        return self.flags.stale
 
     @property
     def race_mask(self) -> np.ndarray:
         """Edges the simulator will race through (hold) on."""
-        return self.hold_exact <= SIM_TOL
+        return self.flags.race
 
     @property
     def race_floor_mask(self) -> np.ndarray:
         """Edges whose lag does not clear the A11 skew floor — no tree
         tuning can make them safe; padding is mandatory."""
-        return self.sigma_lb >= self.lag - SIM_TOL
+        return self.flags.race_floor
 
     def stale_edges(self) -> List[EdgeKey]:
         return [e for e, bad in zip(self.edges, self.stale_mask) if bad]
@@ -130,10 +229,7 @@ class SlackAnalysis:
     @property
     def robust_clean(self) -> bool:
         """Clean even at the model's worst-case skew (bound mode)."""
-        return bool(
-            (self.setup_bound >= -SIM_TOL).all()
-            and (self.hold_bound > SIM_TOL).all()
-        )
+        return self.flags.robust
 
     @property
     def worst_setup_slack(self) -> float:
@@ -149,33 +245,38 @@ class SlackAnalysis:
         return float(self.setup_exact[i]), float(self.hold_exact[i])
 
     def rows(self) -> List[EdgeSlack]:
+        """Every edge as an :class:`EdgeSlack`, classified one scalar row
+        at a time — the oracle for :func:`classify_edges`."""
         out: List[EdgeSlack] = []
-        stale = self.stale_mask
-        race = self.race_mask
-        floor = self.race_floor_mask
         for i, edge in enumerate(self.edges):
+            lag = float(self.lag[i])
+            sigma_lb = float(self.sigma_lb[i])
+            setup = float(self.setup_exact[i])
+            hold = float(self.hold_exact[i])
+            setup_bound = float(self.setup_bound[i])
+            hold_bound = float(self.hold_bound[i])
             flags: List[str] = []
-            if stale[i]:
+            if setup < -SIM_TOL:
                 flags.append(FLAG_STALE)
-            elif self.setup_bound[i] < -SIM_TOL:
+            elif setup_bound < -SIM_TOL:
                 flags.append(FLAG_STALE_POSSIBLE)
-            if race[i]:
+            if hold <= SIM_TOL:
                 flags.append(FLAG_RACE)
-            elif self.hold_bound[i] <= SIM_TOL:
+            elif hold_bound <= SIM_TOL:
                 flags.append(FLAG_RACE_POSSIBLE)
-            if floor[i]:
+            if sigma_lb >= lag - SIM_TOL:
                 flags.append(FLAG_RACE_FLOOR)
             out.append(
                 EdgeSlack(
                     edge=edge,
-                    lag=float(self.lag[i]),
+                    lag=lag,
                     sigma_ub=float(self.sigma_ub[i]),
-                    sigma_lb=float(self.sigma_lb[i]),
+                    sigma_lb=sigma_lb,
                     offset_lead=float(self.offset_lead[i]),
-                    setup_slack=float(self.setup_exact[i]),
-                    hold_slack=float(self.hold_exact[i]),
-                    setup_slack_bound=float(self.setup_bound[i]),
-                    hold_slack_bound=float(self.hold_bound[i]),
+                    setup_slack=setup,
+                    hold_slack=hold,
+                    setup_slack_bound=setup_bound,
+                    hold_slack_bound=hold_bound,
                     flags=tuple(flags),
                 )
             )

@@ -46,9 +46,10 @@ from repro.geometry.point import Point
 from repro.sim.clock_distribution import ClockSchedule
 from repro.sta.design import Design, EdgeKey
 from repro.sta.slack import (
-    SIM_TOL,
     analyze_slack,
+    classify_edges,
     minimum_feasible_period,
+    race_floor_mask,
     _bisect_period,
     _edge_vectors,
 )
@@ -286,7 +287,7 @@ def characterize_tile(
     need_exact = lead + lag
     need_bound = sigma_ub + lag
     hold_bound = lag - sigma_ub
-    race_floor = sigma_lb >= lag - SIM_TOL
+    race_floor = race_floor_mask(lag, sigma_lb)
     arrays: Dict[str, np.ndarray] = {}
     for name, vec in (
         ("need_exact", need_exact),
@@ -321,35 +322,24 @@ def _aggregate(
     aggregates, with exactly the flat pass's per-row comparisons."""
     edges = tiles * len(internal_need_exact) + len(boundary_need_exact)
 
-    def masks(
-        need_exact: np.ndarray, need_bound: np.ndarray, hold_bound: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        stale = (period - need_exact) < -SIM_TOL
-        race = need_exact <= SIM_TOL
-        stale_bound = (period - need_bound) < -SIM_TOL
-        race_bound = hold_bound <= SIM_TOL
-        return stale, race, stale_bound, race_bound
-
-    i_stale, i_race, i_stale_b, i_race_b = masks(
-        internal_need_exact, internal_need_bound, internal_hold_bound
+    internal = classify_edges(
+        period - internal_need_exact,
+        internal_need_exact,
+        period - internal_need_bound,
+        internal_hold_bound,
+        internal_race_floor,
     )
-    b_stale, b_race, b_stale_b, b_race_b = masks(
-        boundary_need_exact, boundary_need_bound, boundary_hold_bound
+    boundary = classify_edges(
+        period - boundary_need_exact,
+        boundary_need_exact,
+        period - boundary_need_bound,
+        boundary_hold_bound,
+        boundary_race_floor,
     )
-
-    def count(internal_mask: np.ndarray, boundary_mask: np.ndarray) -> int:
-        return tiles * int(np.count_nonzero(internal_mask)) + int(
-            np.count_nonzero(boundary_mask)
-        )
-
-    counts = {
-        "edges": edges,
-        "stale": count(i_stale, b_stale),
-        "race": count(i_race, b_race),
-        "stale_possible": count(i_stale_b & ~i_stale, b_stale_b & ~b_stale),
-        "race_possible": count(i_race_b & ~i_race, b_race_b & ~b_race),
-        "race_floor": count(internal_race_floor, boundary_race_floor),
-    }
+    counts = {"edges": edges}
+    boundary_counts = boundary.counts()
+    for key, n in internal.counts().items():
+        counts[key] = tiles * n + boundary_counts[key]
     need_exact_max = float(
         max(
             internal_need_exact.max(initial=-np.inf),
@@ -382,9 +372,7 @@ def _aggregate(
             _bisect_period(need_bound_max) if edges else 0.0
         ),
         timing_clean=counts["stale"] == 0 and counts["race"] == 0,
-        robust_clean=(
-            count(i_stale_b, b_stale_b) == 0 and count(i_race_b, b_race_b) == 0
-        ),
+        robust_clean=internal.robust and boundary.robust,
         counts=counts,
     )
 
@@ -416,18 +404,8 @@ def stitched_analysis(
 def flat_summary(design: Design) -> ArraySummary:
     """The oracle: the same aggregates from a full flat analysis."""
     analysis = analyze_slack(design)
-    stale = analysis.stale_mask
-    race = analysis.race_mask
-    stale_bound = analysis.setup_bound < -SIM_TOL
-    race_bound = analysis.hold_bound <= SIM_TOL
-    counts = {
-        "edges": len(analysis.edges),
-        "stale": int(np.count_nonzero(stale)),
-        "race": int(np.count_nonzero(race)),
-        "stale_possible": int(np.count_nonzero(stale_bound & ~stale)),
-        "race_possible": int(np.count_nonzero(race_bound & ~race)),
-        "race_floor": int(np.count_nonzero(analysis.race_floor_mask)),
-    }
+    counts = {"edges": len(analysis.edges)}
+    counts.update(analysis.flags.counts())
     return ArraySummary(
         period=design.period,
         edges=len(analysis.edges),
