@@ -451,14 +451,17 @@ def _check_design_args(args: argparse.Namespace) -> None:
 
 
 def _write_json_artifact(path: str, payload: object) -> None:
-    """Write a ``--json`` artifact as strict JSON (no NaN/inf), serialized
+    """Write a ``--json`` artifact as compact, strict JSON (no NaN/inf,
+    no indentation: per-edge columns stay one line each), serialized
     before the file is opened so a rejected value leaves no partial
     artifact."""
     import io
     import json
 
     buf = io.StringIO()
-    json.dump(payload, buf, indent=2, sort_keys=True, allow_nan=False)
+    json.dump(
+        payload, buf, separators=(",", ":"), sort_keys=True, allow_nan=False
+    )
     buf.write("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())

@@ -65,8 +65,8 @@ class ClockTree:
         # and root distances — scalar queries read it too.
         self._store = DenseTreeStore(root)
         # Bumped on every structural or edge-length mutation; consumers
-        # (BufferedClockTree, STAAnalyzer fingerprints, ECO sessions) use
-        # it as a cheap staleness tripwire.
+        # (BufferedClockTree, Design.freshness_key and so the ECO session
+        # behind STAAnalyzer) use it as a cheap staleness tripwire.
         self._version = 0
         # Lazy caches.  The LCA index re-synchronizes itself against the
         # store, so mutation never drops it; the leaves cache dies on

@@ -27,7 +27,13 @@ class ClockSchedule:
         if any(t < 0 for t in arrivals.values()):
             raise ValueError("arrival offsets must be non-negative")
         self._arrivals: Dict[CellId, float] = dict(arrivals)
-        self.period = period
+        self._period = period
+
+    @property
+    def period(self) -> float:
+        """The tick period (read-only: a schedule is immutable, so
+        anything keyed on a design's version sees every period change)."""
+        return self._period
 
     @classmethod
     def from_buffered_tree(

@@ -35,7 +35,7 @@ runs violation-free, and every simulator-observed violation edge has
 non-positive static slack.
 """
 
-from repro.sta.analyzer import STAAnalyzer, analyze
+from repro.sta.analyzer import STAAnalyzer
 from repro.sta.design import (
     Design,
     WORKLOADS,
@@ -97,7 +97,6 @@ __all__ = [
     "SteadyState",
     "TileSpec",
     "WORKLOADS",
-    "analyze",
     "analyze_flow",
     "analyze_slack",
     "build_flow_report",

@@ -20,9 +20,10 @@ soundness gate.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.arrays.model import ProcessorArray
 from repro.arrays.systolic import (
@@ -53,9 +54,73 @@ EdgeKey = Tuple[CellId, CellId]
 DEFAULT_WIRE_MODEL = LinearWireModel(m=1e-12)
 
 
+def _bumping(method: Callable[..., Any]) -> Callable[..., Any]:
+    """A removing ``dict`` method that also bumps the design's counter."""
+
+    def bumped(self: "_DesignMap", *args: Any) -> Any:
+        out = method(self, *args)
+        self._writes[0] += 1
+        return out
+
+    return bumped
+
+
+class _DesignMap(Dict[EdgeKey, float]):
+    """A per-edge length map of a :class:`Design` (``edge_padding`` or
+    ``wire_overrides``): every write is validated (finite, non-negative)
+    and bumps the design's :attr:`~Design.version`.  It shares the
+    design's one-element counter instead of referencing the design, so a
+    design is never in a reference cycle and is freed once dropped."""
+
+    __slots__ = ("_writes", "_field")
+
+    def __init__(self, writes: List[int], field_name: str, items: Mapping) -> None:
+        super().__init__(items)
+        self._writes, self._field = writes, field_name
+        if not isinstance(items, _DesignMap):  # a design map is valid
+            for key, value in self.items():
+                self._check(key, value)
+
+    def _check(self, key: EdgeKey, value: float) -> None:
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(
+                f"{self._field}[{key!r}] must be finite and non-negative, "
+                f"got {value!r}"
+            )
+
+    def __setitem__(self, key: EdgeKey, value: float) -> None:
+        self._check(key, value)
+        dict.__setitem__(self, key, value)
+        self._writes[0] += 1
+
+    def update(self, *args: Any, **kwargs: Any) -> None:
+        for key, value in dict(*args, **kwargs).items():
+            self[key] = value
+
+    def setdefault(self, key: Any, default: Any = None) -> Any:
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def __ior__(self, other: Any) -> Any:
+        self.update(other)
+        return self
+
+    __delitem__ = _bumping(dict.__delitem__)
+    pop = _bumping(dict.pop)
+    popitem = _bumping(dict.popitem)
+    clear = _bumping(dict.clear)
+
+
 @dataclass
 class Design:
-    """A concrete synchronous design, ready for static analysis."""
+    """A concrete synchronous design, ready for static analysis.
+
+    Every field assignment and every write into ``edge_padding`` /
+    ``wire_overrides`` bumps :attr:`version`, and the same hook rejects a
+    non-finite or negative ``delta``, padding or wire override with a
+    ``ValueError`` naming the field, at construction and on assignment.
+    """
 
     program: SystolicProgram
     tree: ClockTree
@@ -74,15 +139,30 @@ class Design:
     #: endpoints did not move).  Analysis-only — see :meth:`simulator`.
     wire_overrides: Dict[EdgeKey, float] = field(default_factory=dict)
 
+    #: The write counter behind :attr:`version`, shared with both maps.
+    _writes: List[int] = field(init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "delta" and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"delta must be finite and non-negative, got {value!r}")
+        writes = self.__dict__.setdefault("_writes", [0])
+        if name in ("edge_padding", "wire_overrides"):
+            value = _DesignMap(writes, name, value)
+        object.__setattr__(self, name, value)
+        writes[0] += 1
+
+    @property
+    def version(self) -> int:
+        """Write counter over every field and both per-edge maps."""
+        return self._writes[0]
+
+    @property
+    def freshness_key(self) -> Tuple[int, int, int]:
+        """``(version, comm.version, tree.version)``, the one staleness
+        test of the slack state (:class:`~repro.sta.eco.ECOSession`)."""
+        return (self._writes[0], self.program.array.comm.version, self.tree.version)
+
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        for edge, pad in self.edge_padding.items():
-            if pad < 0:
-                raise ValueError(f"negative padding on edge {edge!r}")
-        for edge, length in self.wire_overrides.items():
-            if length < 0:
-                raise ValueError(f"negative wire override on edge {edge!r}")
         missing = [
             c for c in self.array.comm.nodes() if c not in self.schedule.cells()
         ]
@@ -126,21 +206,7 @@ class Design:
         schedule = ClockSchedule(
             {c: self.schedule.offset(c) for c in self.schedule.cells()}, period
         )
-        return Design(
-            program=self.program,
-            tree=self.tree,
-            model=self.model,
-            schedule=schedule,
-            delta=self.delta,
-            discipline=self.discipline,
-            wire_model=self.wire_model,
-            edge_padding=dict(self.edge_padding),
-            buffered=self.buffered,
-            name=self.name,
-            s_budget=self.s_budget,
-            equidistance_tolerance=self.equidistance_tolerance,
-            wire_overrides=dict(self.wire_overrides),
-        )
+        return replace(self, schedule=schedule)  # copies both per-edge maps
 
     def simulator(
         self,
@@ -220,8 +286,9 @@ def design_for_workload(
     bounds, never from a simulation).  Pass an explicit ``period`` to probe
     infeasible operating points.
     """
-    # Imported here: repro.sta.slack imports this module for type sharing.
-    from repro.sta.slack import minimum_feasible_period, pad_for_races
+    # Imported here: repro.sta.slack and repro.sta.eco import this module.
+    from repro.sta.eco import ECOSession
+    from repro.sta.slack import pad_for_races
 
     if size <= 0:
         raise ValueError(f"workload size must be positive, got {size}")
@@ -256,9 +323,11 @@ def design_for_workload(
         # The bound-mode period covers the model's worst case; the concrete
         # buffered arrivals can drift past the abstract bound, so take the
         # exact-mode requirement as a floor too — clean in both modes.
+        # One session (one gather of the padded design) serves both modes.
+        session = ECOSession(design)
         period = (1.0 + period_margin) * max(
-            minimum_feasible_period(design, mode="bound"),
-            minimum_feasible_period(design, mode="exact"),
+            session.minimum_feasible_period("bound"),
+            session.minimum_feasible_period("exact"),
             1e-9,
         )
     return design.with_period(period)
@@ -302,7 +371,7 @@ def random_design(seed: int, clean: Optional[bool] = None) -> Design:
         seed=seed,
         pad_races=rng.random() < 0.3,
     )
-    from repro.sta.slack import minimum_feasible_period
+    from repro.sta.eco import ECOSession
 
-    feasible = minimum_feasible_period(design, mode="exact")
+    feasible = ECOSession(design).minimum_feasible_period("exact")
     return design.with_period(max(feasible * rng.uniform(0.3, 0.9), 1e-6))
